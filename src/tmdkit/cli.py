@@ -70,17 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
-    inputs: list[str] = []
     if args.config is not None:
         config = tmdio.parse_config(args.config)
-        inputs.append(str(args.config))
-        if getattr(args, "setup", None) and args.command != "replicate":
-            if config.setup != args.setup:
-                raise ConfigError(
-                    f"--setup {args.setup} contradicts the config's setup {config.setup}"
-                )
-    elif getattr(args, "setup", None):
-        config = pipelines.default_config(args.setup)
+        if args.setup is not None and config.setup != args.setup:
+            raise ConfigError(f"setup {args.setup} contradicts the config's setup {config.setup}")
+        inputs = [str(args.config)]
+    elif args.setup is not None:
+        config, inputs = pipelines.default_config(args.setup), []
     else:
         raise ConfigError("provide --config or --setup")
     return pipelines.apply_overrides(config, shots=args.shots, seed=args.seed), inputs
@@ -94,71 +90,33 @@ def _print_summary(doc: dict) -> None:
         print(f"{key} = {value}")
 
 
-def _write_manifest(
-    command: str,
-    out_dir: str,
-    config_echo: dict,
-    seed: int | None,
-    inputs: list[str],
-    output: pipelines.RunOutput,
-    started: float,
-) -> None:
+def _dispatch(args: argparse.Namespace) -> None:
+    started = time.monotonic()
+    if args.command in ("metrics", "fit"):
+        runner = pipelines.run_metrics_file if args.command == "metrics" else pipelines.run_fit_file
+        output = runner(args.in_path, args.out)
+        echo, seed, inputs = {"in": str(args.in_path)}, None, [str(args.in_path)]
+    else:
+        config, inputs = _load_config(args)
+        options = {
+            "constrained": getattr(args, "constrained", False),
+            "emit_shots": getattr(args, "emit_shots", False),
+        }
+        if args.command == "replicate":
+            output = pipelines.run_replicate(config, args.out, **options)
+        else:
+            output = pipelines.run_stage(args.command, config, args.out, **options)
+        echo, seed = tmdio.serialize_config(config), config.seed
     manifest = tmdio.RunManifest(
-        command=command,
-        config=config_echo,
+        command=f"replicate {args.setup}" if args.command == "replicate" else args.command,
+        config=echo,
         seed=seed,
         version=__version__,
         inputs=tuple(inputs),
         outputs=output.paths,
         duration_seconds=time.monotonic() - started,
     )
-    tmdio.write_manifest(Path(out_dir) / "manifest.json", manifest)
-
-
-def _dispatch(args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    if args.command in ("simulate", "calibrate", "reconstruct"):
-        config, inputs = _load_config(args)
-        if args.command == "simulate":
-            output = pipelines.run_simulate(config, args.out, emit_shots=args.emit_shots)
-        elif args.command == "calibrate":
-            output = pipelines.run_calibrate(config, args.out)
-        else:
-            output = pipelines.run_reconstruct(config, args.out, constrained=args.constrained)
-        _write_manifest(
-            args.command, args.out, tmdio.serialize_config(config), config.seed,
-            inputs, output, started,
-        )
-    elif args.command in ("metrics", "fit"):
-        if args.command == "metrics":
-            output = pipelines.run_metrics_file(args.in_path, args.out)
-        else:
-            output = pipelines.run_fit_file(args.in_path, args.out)
-        _write_manifest(
-            args.command, args.out, {"in": str(args.in_path)}, None,
-            [str(args.in_path)], output, started,
-        )
-    else:
-        config = None
-        inputs: list[str] = []
-        if args.config is not None:
-            config = tmdio.parse_config(args.config)
-            inputs.append(str(args.config))
-        output = pipelines.run_replicate(
-            args.setup,
-            args.out,
-            config=config,
-            shots=args.shots,
-            seed=args.seed,
-            constrained=args.constrained,
-            emit_shots=args.emit_shots,
-        )
-        echo = output.primary
-        _write_manifest(
-            f"replicate {args.setup}", args.out,
-            {"setup": args.setup, "shots": echo.get("shots"), "seed": echo.get("seed")},
-            echo.get("seed"), inputs, output, started,
-        )
+    tmdio.write_manifest(Path(args.out) / "manifest.json", manifest)
     _print_summary(output.primary)
     for path in output.paths:
         print(f"wrote {path}")

@@ -24,8 +24,6 @@ MAX_BINS = 20
 BIN_PROB_ATOL = 1e-12
 STOCHASTIC_ATOL = 1e-12
 
-_MATRIX_KINDS = ("loss", "convolution", "composite")
-
 
 @dataclass(frozen=True, eq=False)
 class TMDConfig:
@@ -87,30 +85,26 @@ class TMDConfig:
         return TMDConfig(self.bin_probs, efficiency, self.n_max)
 
 
-@dataclass(frozen=True)
-class DetectorMatrix:
-    """Column-stochastic stage of the detector response."""
+def _column_stochastic(entries: np.ndarray) -> np.ndarray:
+    """Check a detector stage and return it clipped to [0, 1] and read-only.
 
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _MATRIX_KINDS:
-            raise DomainError(f"kind must be one of {_MATRIX_KINDS}, got {self.kind!r}")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise DomainError("detector matrix must be 2-d")
-        if m.min() < -STOCHASTIC_ATOL or m.max() > 1.0 + STOCHASTIC_ATOL:
-            raise DomainError("detector matrix entries must lie in [0, 1]")
-        col_err = np.abs(m.sum(axis=0) - 1.0).max()
-        if col_err > STOCHASTIC_ATOL:
-            raise DomainError(f"detector matrix columns deviate from stochasticity by {col_err!r}")
-        m = np.clip(m, 0.0, 1.0)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+    Entries must lie in [0, 1] and every column must sum to one, both up
+    to STOCHASTIC_ATOL.
+    """
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 2:
+        raise DomainError("detector matrix must be 2-d")
+    if m.min() < -STOCHASTIC_ATOL or m.max() > 1.0 + STOCHASTIC_ATOL:
+        raise DomainError("detector matrix entries must lie in [0, 1]")
+    col_err = np.abs(m.sum(axis=0) - 1.0).max()
+    if col_err > STOCHASTIC_ATOL:
+        raise DomainError(f"detector matrix columns deviate from stochasticity by {col_err!r}")
+    m = np.clip(m, 0.0, 1.0)
+    m.flags.writeable = False
+    return m
 
 
-def loss_matrix(efficiency: float, n_max: int) -> DetectorMatrix:
+def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     """Binomial loss stage: entry (n, m) is P(n of m photons survive)."""
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
@@ -118,7 +112,7 @@ def loss_matrix(efficiency: float, n_max: int) -> DetectorMatrix:
         raise DomainError("n_max must be non-negative")
     idx = np.arange(n_max + 1)
     entries = _binom.pmf(idx[:, None], idx[None, :], efficiency)
-    return DetectorMatrix(entries, "loss")
+    return _column_stochastic(entries)
 
 
 @lru_cache(maxsize=128)
@@ -152,7 +146,7 @@ def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray
     return entries
 
 
-def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> DetectorMatrix:
+def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
     """Bin-occupation stage: entry (c, n) is P(n photons occupy exactly c bins).
 
     Computed by inclusion-exclusion over subsets of bins, so the bin
@@ -170,14 +164,14 @@ def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> DetectorMatrix:
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     entries = _convolution_entries(tuple(probs.tolist()), int(n_max))
-    return DetectorMatrix(entries, "convolution")
+    return _column_stochastic(entries)
 
 
-def detector_response(tmd: TMDConfig) -> DetectorMatrix:
+def detector_response(tmd: TMDConfig) -> np.ndarray:
     """Composite click response: occupation matrix times loss matrix."""
     conv = convolution_matrix(tmd.bin_probs, tmd.n_max)
     loss = loss_matrix(tmd.efficiency, tmd.n_max)
-    return DetectorMatrix(conv.matrix @ loss.matrix, "composite")
+    return _column_stochastic(conv @ loss)
 
 
 def _padded(probs: np.ndarray, n_max: int, what: str) -> np.ndarray:
@@ -191,7 +185,7 @@ def _padded(probs: np.ndarray, n_max: int, what: str) -> np.ndarray:
 def forward(tmd: TMDConfig, dist: PhotonDistribution) -> PhotonDistribution:
     """Click-number distribution produced by a photon-number distribution."""
     p = _padded(dist.probs, tmd.n_max, "input distribution")
-    response = detector_response(tmd).matrix
+    response = detector_response(tmd)
     return PhotonDistribution(response @ p)
 
 
@@ -205,8 +199,8 @@ def joint_forward(
         raise DomainError("joint idler axis extends beyond the idler detector n_max")
     p = np.zeros((tmd_signal.n_max + 1, tmd_idler.n_max + 1))
     p[: joint.probs.shape[0], : joint.probs.shape[1]] = joint.probs
-    a_signal = detector_response(tmd_signal).matrix
-    a_idler = detector_response(tmd_idler).matrix
+    a_signal = detector_response(tmd_signal)
+    a_idler = detector_response(tmd_idler)
     return JointPhotonDistribution(a_signal @ p @ a_idler.T)
 
 
@@ -224,9 +218,9 @@ def collective_forward(
     per arm, and the occupation stage must cover the combined photon
     number.
     """
-    loss_signal = loss_matrix(eta_signal, joint.n_max_signal).matrix
-    loss_idler = loss_matrix(eta_idler, joint.n_max_idler).matrix
+    loss_signal = loss_matrix(eta_signal, joint.n_max_signal)
+    loss_idler = loss_matrix(eta_idler, joint.n_max_idler)
     surviving = JointPhotonDistribution(loss_signal @ joint.probs @ loss_idler.T)
     total = combine_collective(surviving)
     conv = convolution_matrix(tmd.bin_probs, total.n_max)
-    return PhotonDistribution(conv.matrix @ total.probs)
+    return PhotonDistribution(conv @ total.probs)

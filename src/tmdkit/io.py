@@ -12,9 +12,10 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -30,8 +31,6 @@ _TOP_KEYS = {"format_version", "setup", "source", "shots", "seed", "signal", "id
 _SOURCE_KEYS = {"kind", "mean", "modes", "photons", "n_max", "pair_dist"}
 _DETECTOR_KEYS = {"bins", "bin_probs", "efficiency", "n_max", "efficiency_uncertainty"}
 _SOURCE_KINDS = ("thermal", "multimode", "poisson", "fock", "custom")
-
-_SHOT_HEADER_FULL = "shot_id,signal_mask,idler_mask"
 
 
 def _is_int(value: Any) -> bool:
@@ -77,19 +76,29 @@ def jsonable(value: Any) -> Any:
     raise DataFormatError(f"value of type {type(value).__name__} is not JSON-serializable")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file via temp-file-then-rename so readers never see a partial file."""
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temp file that replaces ``path`` once the block succeeds.
+
+    Readers never see a partial file, and the writer can stream to disk.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write a file via temp-file-then-rename so readers never see a partial file."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def write_json_doc(path: str | Path, doc: dict) -> None:
@@ -327,22 +336,9 @@ def write_shots(
     length = columns[0].size
     if any(col.ndim != 1 or col.size != length for col in columns):
         raise DomainError("mask arrays must be 1-d and equally long")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([np.arange(length, dtype=np.int64)] + [c.astype(np.int64) for c in columns])
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            np.savetxt(handle, table, fmt="%d", delimiter=",", header=",".join(header), comments="")
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
-def _mask_width_ok(mask: int, bins: int) -> bool:
-    return 0 <= mask < (1 << bins)
+    with _atomic_open(path) as handle:
+        np.savetxt(handle, table, fmt="%d", delimiter=",", header=",".join(header), comments="")
 
 
 def ingest_shots(

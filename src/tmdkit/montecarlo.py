@@ -3,8 +3,9 @@
 Every shot draws a pair number from the source, thins each arm with an
 independent binomial loss, scatters the surviving photons over the
 detector bins, and records which bins clicked.  Sampling is chunked and
-each chunk gets its own counter-based stream, so a run is reproducible
-for a given seed no matter how the chunks are scheduled.
+each chunk gets its own counter-based stream keyed by the chunk index,
+so for a given seed and ``CHUNK_SIZE`` a run is reproducible no matter
+how the chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -123,13 +124,8 @@ def iter_shot_chunks(shots: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple
         raise DomainError("shots must be positive")
     if chunk_size <= 0:
         raise DomainError("chunk_size must be positive")
-    index = 0
-    remaining = shots
-    while remaining > 0:
-        size = min(chunk_size, remaining)
-        yield index, size
-        index += 1
-        remaining -= size
+    for index, start in enumerate(range(0, shots, chunk_size)):
+        yield index, min(chunk_size, shots - start)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -149,22 +145,17 @@ def _sample_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.nd
     return np.searchsorted(cdf, draws, side="right").clip(0, cdf.size - 1)
 
 
-def _detect_arm(
-    rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin, scatter over bins, and read out one arm for a batch of shots.
-
-    Returns (detected photons, click masks, click counts).
-    """
-    detected = rng.binomial(photons, tmd.efficiency)
+def _readout(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig) -> np.ndarray:
+    """Scatter detected photons over the bins of one detector; bit i set means bin i clicked."""
     if tmd.bins == 1:
-        masks = (detected > 0).astype(np.uint32)
-        return detected, masks, masks.astype(np.int64)
-    occupancy = rng.multinomial(detected, tmd.bin_probs)
+        return (photons > 0).astype(np.uint32)
+    occupancy = rng.multinomial(photons, tmd.bin_probs)
     bits = np.uint32(1) << np.arange(tmd.bins, dtype=np.uint32)
-    masks = ((occupancy > 0) @ bits).astype(np.uint32)
-    clicks = np.bitwise_count(masks).astype(np.int64)
-    return detected, masks, clicks
+    return ((occupancy > 0) @ bits).astype(np.uint32)
+
+
+def _clicks(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int64)
 
 
 def sample_shot(
@@ -176,8 +167,10 @@ def sample_shot(
 ) -> ShotRecord:
     """Draw one complete shot; useful for inspection and tests."""
     pairs = _sample_pairs(rng, _pair_cdf(source), 1)
-    s_det, s_mask, s_clicks = _detect_arm(rng, pairs, tmd_signal)
-    i_det, i_mask, i_clicks = _detect_arm(rng, pairs, tmd_idler)
+    s_det = rng.binomial(pairs, tmd_signal.efficiency)
+    s_mask = _readout(rng, s_det, tmd_signal)
+    i_det = rng.binomial(pairs, tmd_idler.efficiency)
+    i_mask = _readout(rng, i_det, tmd_idler)
     return ShotRecord(
         shot_id=shot_id,
         pairs=int(pairs[0]),
@@ -185,9 +178,64 @@ def sample_shot(
         idler_detected=int(i_det[0]),
         signal_mask=int(s_mask[0]),
         idler_mask=int(i_mask[0]),
-        signal_clicks=int(s_clicks[0]),
-        idler_clicks=int(i_clicks[0]),
+        signal_clicks=int(_clicks(s_mask)[0]),
+        idler_clicks=int(_clicks(i_mask)[0]),
     )
+
+
+def _two_arm_masks(
+    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig
+) -> tuple[np.ndarray, ...]:
+    return tuple(
+        _readout(rng, rng.binomial(pairs, tmd.efficiency), tmd)
+        for tmd in (config.tmd_signal, config.tmd_idler)
+    )
+
+
+def _merged_masks(
+    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig
+) -> tuple[np.ndarray, ...]:
+    # each arm is thinned with its own efficiency before the survivors
+    # share the one detector's bins
+    survivors = rng.binomial(pairs, config.tmd_signal.efficiency)
+    survivors = survivors + rng.binomial(pairs, config.tmd_idler.efficiency)
+    return (_readout(rng, survivors, config.tmd_signal),)
+
+
+def _simulate(
+    config: ExperimentConfig, keep_shots: bool
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Run every chunk of ``config`` and histogram the click numbers.
+
+    The histogram has one axis per detector: (signal, idler) for the
+    two-detector layouts, the shared detector alone for layout C.  With
+    ``keep_shots`` the per-shot masks of each detector come back too.
+    """
+    merged = config.setup == "C"
+    readout = _merged_masks if merged else _two_arm_masks
+    tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
+    shape = tuple(tmd.bins + 1 for tmd in tmds)
+    cdf = _pair_cdf(config.source)
+    histogram = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    kept = [np.empty(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
+
+    offset = 0
+    for chunk_index, size in iter_shot_chunks(config.shots):
+        rng = _chunk_rng(config.seed, chunk_index)
+        masks = readout(rng, _sample_pairs(rng, cdf, size), config)
+        index = _clicks(masks[0])
+        for mask, width in zip(masks[1:], shape[1:]):
+            index = index * width + _clicks(mask)
+        histogram += np.bincount(index, minlength=histogram.size)
+        if keep_shots:
+            for store, mask in zip(kept, masks):
+                store[offset : offset + size] = mask
+        offset += size
+
+    if keep_shots:
+        for store in kept:
+            store.flags.writeable = False
+    return histogram.reshape(shape), kept
 
 
 def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> ExperimentResult:
@@ -200,49 +248,18 @@ def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> Experi
     """
     if config.setup == "C":
         raise DomainError("setup C merges the arms; use run_collective_experiment")
-    bins_s = config.tmd_signal.bins
-    bins_i = config.tmd_idler.bins
-    cdf = _pair_cdf(config.source)
-    joint = np.zeros((bins_s + 1) * (bins_i + 1), dtype=np.int64)
-    signal_singles = 0
-    idler_singles = 0
-    coincidences = 0
-    masks_s = np.empty(config.shots, dtype=np.uint32) if keep_shots else None
-    masks_i = np.empty(config.shots, dtype=np.uint32) if keep_shots else None
-
-    offset = 0
-    for chunk_index, size in iter_shot_chunks(config.shots):
-        rng = _chunk_rng(config.seed, chunk_index)
-        pairs = _sample_pairs(rng, cdf, size)
-        _, s_mask, s_clicks = _detect_arm(rng, pairs, config.tmd_signal)
-        _, i_mask, i_clicks = _detect_arm(rng, pairs, config.tmd_idler)
-        joint += np.bincount(
-            s_clicks * (bins_i + 1) + i_clicks, minlength=joint.size
-        )
-        s_hit = s_clicks > 0
-        i_hit = i_clicks > 0
-        signal_singles += int(s_hit.sum())
-        idler_singles += int(i_hit.sum())
-        coincidences += int((s_hit & i_hit).sum())
-        if keep_shots:
-            masks_s[offset : offset + size] = s_mask
-            masks_i[offset : offset + size] = i_mask
-        offset += size
-
-    joint = joint.reshape(bins_s + 1, bins_i + 1)
-    if keep_shots:
-        masks_s.flags.writeable = False
-        masks_i.flags.writeable = False
+    joint, kept = _simulate(config, keep_shots)
+    signal_masks, idler_masks = kept if keep_shots else (None, None)
     return ExperimentResult(
         config=config,
         signal_clicks=ClickStatistics(joint.sum(axis=1), config.shots),
         idler_clicks=ClickStatistics(joint.sum(axis=0), config.shots),
         joint_clicks=ClickStatistics(joint, config.shots),
-        signal_singles=signal_singles,
-        idler_singles=idler_singles,
-        coincidences=coincidences,
-        signal_masks=masks_s,
-        idler_masks=masks_i,
+        signal_singles=int(joint[1:, :].sum()),
+        idler_singles=int(joint[:, 1:].sum()),
+        coincidences=int(joint[1:, 1:].sum()),
+        signal_masks=signal_masks,
+        idler_masks=idler_masks,
     )
 
 
@@ -257,36 +274,11 @@ def run_collective_experiment(
     """
     if config.setup != "C":
         raise DomainError("run_collective_experiment requires the shared-detector setup")
-    tmd = config.tmd_signal
-    cdf = _pair_cdf(config.source)
-    histogram = np.zeros(tmd.bins + 1, dtype=np.int64)
-    masks = np.empty(config.shots, dtype=np.uint32) if keep_shots else None
-
-    offset = 0
-    for chunk_index, size in iter_shot_chunks(config.shots):
-        rng = _chunk_rng(config.seed, chunk_index)
-        pairs = _sample_pairs(rng, cdf, size)
-        survivors = rng.binomial(pairs, config.tmd_signal.efficiency)
-        survivors = survivors + rng.binomial(pairs, config.tmd_idler.efficiency)
-        if tmd.bins == 1:
-            mask = (survivors > 0).astype(np.uint32)
-            clicks = mask.astype(np.int64)
-        else:
-            occupancy = rng.multinomial(survivors, tmd.bin_probs)
-            bits = np.uint32(1) << np.arange(tmd.bins, dtype=np.uint32)
-            mask = ((occupancy > 0) @ bits).astype(np.uint32)
-            clicks = np.bitwise_count(mask).astype(np.int64)
-        histogram += np.bincount(clicks, minlength=histogram.size)
-        if keep_shots:
-            masks[offset : offset + size] = mask
-        offset += size
-
-    if keep_shots:
-        masks.flags.writeable = False
+    histogram, kept = _simulate(config, keep_shots)
     return CollectiveResult(
         config=config,
         clicks=ClickStatistics(histogram, config.shots),
-        masks=masks,
+        masks=kept[0] if keep_shots else None,
     )
 
 

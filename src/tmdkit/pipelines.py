@@ -2,8 +2,9 @@
 
 Each runner writes deterministic JSON documents (plus CSV tables of the
 distributions) into an output directory and returns its primary
-document.  The ``replicate`` runner chains the full measurement
-sequence for one of the four layouts with its stock configuration:
+document.  Every run simulates once and feeds one chain of stages
+(simulate, calibrate, reconstruct, fit, metrics): a stage command runs
+one of them, and ``replicate`` runs the ones its layout measures:
 
   A  threshold detectors on both arms, coincidence calibration
   B  threshold signal arm heralding a multi-bin idler measurement
@@ -16,14 +17,14 @@ repetition rate for rates per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tmdio
 from .detector import TMDConfig
-from .errors import ConfigError, DataFormatError, DomainError
+from .errors import DataFormatError, DomainError
 from .montecarlo import (
     CollectiveResult,
     ExperimentConfig,
@@ -115,11 +116,19 @@ def default_config(setup: str, shots: int | None = None, seed: int | None = None
 def apply_overrides(
     config: ExperimentConfig, shots: int | None = None, seed: int | None = None
 ) -> ExperimentConfig:
+    """Replace the shot count and/or seed, validated like a config file.
+
+    Bad values raise :class:`ConfigError`, so a run can never write a
+    ``config.json`` that :func:`tmdkit.io.parse_config` would reject.
+    """
+    if shots is None and seed is None:
+        return config
+    doc = tmdio.serialize_config(config)
     if shots is not None:
-        config = replace(config, shots=shots)
+        doc["shots"] = shots
     if seed is not None:
-        config = replace(config, seed=seed)
-    return config
+        doc["seed"] = seed
+    return tmdio.config_from_doc(doc)
 
 
 def _clicks_doc(clicks: ClickStatistics) -> dict:
@@ -152,27 +161,19 @@ def _simulation_doc(config: ExperimentConfig, result: ExperimentResult | Collect
 
 
 def _calibration_doc(config: ExperimentConfig, result: ExperimentResult) -> dict:
-    signal = result.signal_calibration()
-    idler = result.idler_calibration()
-    return {
-        "format_version": tmdio.FORMAT_VERSION,
-        "kind": "calibration",
-        "setup": config.setup,
-        "signal": {
-            "efficiency": signal.eta,
-            "uncertainty": signal.eta_uncertainty,
-            "coincidences": signal.coincidences,
-            "singles": signal.singles,
-            "configured_efficiency": config.tmd_signal.efficiency,
-        },
-        "idler": {
-            "efficiency": idler.eta,
-            "uncertainty": idler.eta_uncertainty,
-            "coincidences": idler.coincidences,
-            "singles": idler.singles,
-            "configured_efficiency": config.tmd_idler.efficiency,
-        },
-    }
+    doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "calibration", "setup": config.setup}
+    for arm, record, tmd in (
+        ("signal", result.signal_calibration(), config.tmd_signal),
+        ("idler", result.idler_calibration(), config.tmd_idler),
+    ):
+        doc[arm] = {
+            "efficiency": record.eta,
+            "uncertainty": record.eta_uncertainty,
+            "coincidences": record.coincidences,
+            "singles": record.singles,
+            "configured_efficiency": tmd.efficiency,
+        }
+    return doc
 
 
 def _arm_doc(
@@ -261,43 +262,37 @@ def _vector_metrics(dist: PhotonDistribution) -> dict:
 def _fit_doc(dist: PhotonDistribution) -> dict:
     poisson = fit_poisson(dist)
     thermal = fit_thermal(dist)
-    return {
-        "format_version": tmdio.FORMAT_VERSION,
-        "kind": "fit",
-        "poisson": {
-            "mean": poisson.mean,
-            "residual_l2": poisson.residual_l2,
-            "per_bin_deviation": poisson.per_bin_deviation,
-        },
-        "thermal": {
-            "mean": thermal.mean,
-            "residual_l2": thermal.residual_l2,
-            "per_bin_deviation": thermal.per_bin_deviation,
-        },
-        "preferred": "poisson" if poisson.residual_l2 <= thermal.residual_l2 else "thermal",
-    }
+    doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "fit"}
+    for family, fit in (("poisson", poisson), ("thermal", thermal)):
+        doc[family] = {
+            "mean": fit.mean,
+            "residual_l2": fit.residual_l2,
+            "per_bin_deviation": fit.per_bin_deviation,
+        }
+    doc["preferred"] = "poisson" if poisson.residual_l2 <= thermal.residual_l2 else "thermal"
+    return doc
 
 
-def _write(out_dir: Path, name: str, doc: dict, paths: list[str]) -> None:
+def _write(out_dir: Path, name: str, doc: dict, paths: list[str]) -> dict:
     path = out_dir / name
     tmdio.write_json_doc(path, doc)
     paths.append(str(path))
+    return doc
 
 
 def _write_click_tables(
     out_dir: Path, result: ExperimentResult | CollectiveResult, paths: list[str]
 ) -> None:
     if isinstance(result, CollectiveResult):
-        path = out_dir / "clicks_collective.csv"
-        tmdio.write_clicks_csv(path, result.clicks)
-        paths.append(str(path))
-        return
-    for name, clicks in (
-        ("clicks_signal.csv", result.signal_clicks),
-        ("clicks_idler.csv", result.idler_clicks),
-        ("clicks_joint.csv", result.joint_clicks),
-    ):
-        path = out_dir / name
+        tables = [("collective", result.clicks)]
+    else:
+        tables = [
+            ("signal", result.signal_clicks),
+            ("idler", result.idler_clicks),
+            ("joint", result.joint_clicks),
+        ]
+    for arm, clicks in tables:
+        path = out_dir / f"clicks_{arm}.csv"
         tmdio.write_clicks_csv(path, clicks)
         paths.append(str(path))
 
@@ -319,12 +314,6 @@ def _write_distribution_tables(out_dir: Path, recon_doc: dict, paths: list[str])
         paths.append(str(path))
 
 
-def _run(config: ExperimentConfig, keep_shots: bool = False):
-    if config.setup == "C":
-        return run_collective_experiment(config, keep_shots=keep_shots)
-    return run_experiment(config, keep_shots=keep_shots)
-
-
 def _emit_shots(out_dir: Path, result, paths: list[str]) -> None:
     path = out_dir / "shots.csv"
     if isinstance(result, CollectiveResult):
@@ -334,42 +323,76 @@ def _emit_shots(out_dir: Path, result, paths: list[str]) -> None:
     paths.append(str(path))
 
 
-def run_simulate(config: ExperimentConfig, out_dir: str | Path, emit_shots: bool = False) -> RunOutput:
-    """Simulate one run and persist its click statistics."""
-    out_dir = Path(out_dir)
-    result = _run(config, keep_shots=emit_shots)
-    doc = _simulation_doc(config, result)
-    paths: list[str] = []
-    _write(out_dir, "simulation.json", doc, paths)
-    _write_click_tables(out_dir, result, paths)
-    if emit_shots:
-        _emit_shots(out_dir, result, paths)
-    return RunOutput(doc, tuple(paths))
+def _chain(
+    config: ExperimentConfig,
+    out_dir: str | Path,
+    stages: tuple[str, ...],
+    paths: list[str],
+    constrained: bool = False,
+    emit_shots: bool = False,
+) -> dict[str, dict]:
+    """Simulate once, then build and write each requested stage.
 
-
-def run_calibrate(config: ExperimentConfig, out_dir: str | Path) -> RunOutput:
-    """Simulate one run and estimate both arm efficiencies from it."""
-    if config.setup == "C":
+    Stages run in the fixed order simulate, calibrate, reconstruct, fit,
+    metrics, whatever the order of ``stages``; fit and metrics read the
+    reconstruction, so they need it requested too.  Returns the stage
+    documents by stage name and appends every written path to ``paths``.
+    """
+    if "calibrate" in stages and config.setup == "C":
         raise DomainError("the merged-arm layout cannot measure coincidences; calibrate with A, B, or D")
     out_dir = Path(out_dir)
-    result = run_experiment(config)
-    doc = _calibration_doc(config, result)
-    paths: list[str] = []
-    _write(out_dir, "calibration.json", doc, paths)
-    return RunOutput(doc, tuple(paths))
+    run = run_collective_experiment if config.setup == "C" else run_experiment
+    result = run(config, keep_shots=emit_shots)
+    docs: dict[str, dict] = {}
+    if "simulate" in stages:
+        docs["simulate"] = _write(out_dir, "simulation.json", _simulation_doc(config, result), paths)
+        _write_click_tables(out_dir, result, paths)
+        if emit_shots:
+            _emit_shots(out_dir, result, paths)
+    if "calibrate" in stages:
+        docs["calibrate"] = _write(out_dir, "calibration.json", _calibration_doc(config, result), paths)
+    if "reconstruct" in stages:
+        recon = _reconstruction_doc(config, result, constrained)
+        docs["reconstruct"] = _write(out_dir, "reconstruction.json", recon, paths)
+        _write_distribution_tables(out_dir, recon, paths)
+    if "fit" in stages:
+        # the heralded arm: the multi-bin idler of layout B
+        idler = PhotonDistribution(np.asarray(docs["reconstruct"]["idler"]["probabilities"]))
+        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(idler), paths)
+    if "metrics" in stages:
+        joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
+        raw = JointPhotonDistribution(result.joint_clicks.frequencies)
+        metrics = {
+            "format_version": tmdio.FORMAT_VERSION,
+            "kind": "metrics",
+            "joint": _joint_metrics(joint),
+            "raw": _joint_metrics(raw),
+        }
+        docs["metrics"] = _write(out_dir, "metrics.json", metrics, paths)
+    return docs
 
 
-def run_reconstruct(
-    config: ExperimentConfig, out_dir: str | Path, constrained: bool = False
+_STAGE_COMMANDS = ("simulate", "calibrate", "reconstruct")
+
+
+def run_stage(
+    stage: str,
+    config: ExperimentConfig,
+    out_dir: str | Path,
+    constrained: bool = False,
+    emit_shots: bool = False,
 ) -> RunOutput:
-    """Simulate one run and reconstruct its photon statistics."""
-    out_dir = Path(out_dir)
-    result = _run(config)
-    doc = _reconstruction_doc(config, result, constrained)
+    """Simulate one run and write one stage's documents.
+
+    ``stage`` is "simulate", "calibrate" or "reconstruct";
+    ``constrained`` affects only reconstruction and ``emit_shots`` only
+    the simulation stage.
+    """
+    if stage not in _STAGE_COMMANDS:
+        raise DomainError(f"stage must be one of {_STAGE_COMMANDS}, got {stage!r}")
     paths: list[str] = []
-    _write(out_dir, "reconstruction.json", doc, paths)
-    _write_distribution_tables(out_dir, doc, paths)
-    return RunOutput(doc, tuple(paths))
+    docs = _chain(config, out_dir, (stage,), paths, constrained, emit_shots)
+    return RunOutput(docs[stage], tuple(paths))
 
 
 def _extract_joint(doc: dict) -> JointPhotonDistribution | None:
@@ -434,7 +457,8 @@ def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     return RunOutput(doc, tuple(paths))
 
 
-def _summary_a(config: ExperimentConfig, calibration: dict) -> dict:
+def _summary_a(config: ExperimentConfig, docs: dict) -> dict:
+    calibration = docs["calibrate"]
     return {
         "klyshko_signal": calibration["signal"]["efficiency"],
         "klyshko_idler": calibration["idler"]["efficiency"],
@@ -445,27 +469,29 @@ def _summary_a(config: ExperimentConfig, calibration: dict) -> dict:
     }
 
 
-def _summary_b(recon: dict, fit: dict, calibration: dict) -> dict:
+def _summary_b(config: ExperimentConfig, docs: dict) -> dict:
+    recon, fit = docs["reconstruct"], docs["fit"]
     return {
         "idler_mean": recon["idler"]["mean"],
         "idler_probabilities": recon["idler"]["probabilities"],
         "idler_sigma": recon["idler"].get("sigma"),
-        "klyshko_idler": calibration["idler"]["efficiency"],
+        "klyshko_idler": docs["calibrate"]["idler"]["efficiency"],
         "fit_poisson_residual": fit["poisson"]["residual_l2"],
         "fit_thermal_residual": fit["thermal"]["residual_l2"],
         "preferred_family": fit["preferred"],
     }
 
 
-def _summary_c(recon: dict) -> dict:
-    probs = np.asarray(recon["collective"]["probabilities"], dtype=float)
+def _summary_c(config: ExperimentConfig, docs: dict) -> dict:
+    collective = docs["reconstruct"]["collective"]
+    probs = np.asarray(collective["probabilities"], dtype=float)
     odd = probs[1::2]
     even = probs[0::2]
     even_mass = float(even.sum())
     odd_mass = float(odd.sum())
     return {
         "collective_probabilities": probs,
-        "collective_mean": recon["collective"]["mean"],
+        "collective_mean": collective["mean"],
         "odd_mass": odd_mass,
         "even_mass": even_mass,
         "max_odd_entry": float(odd.max()),
@@ -473,7 +499,8 @@ def _summary_c(recon: dict) -> dict:
     }
 
 
-def _summary_d(metrics: dict) -> dict:
+def _summary_d(config: ExperimentConfig, docs: dict) -> dict:
+    metrics = docs["metrics"]
     return {
         "correlation": metrics["joint"]["correlation"],
         "raw_correlation": metrics["raw"]["correlation"],
@@ -484,80 +511,39 @@ def _summary_d(metrics: dict) -> dict:
     }
 
 
+# Stages each layout's replicate runs, and the summary drawn from them.
+_LAYOUT_STAGES = {
+    "A": (("simulate", "calibrate"), _summary_a),
+    "B": (("simulate", "calibrate", "reconstruct", "fit"), _summary_b),
+    "C": (("simulate", "reconstruct"), _summary_c),
+    "D": (("simulate", "calibrate", "reconstruct", "metrics"), _summary_d),
+}
+
+
 def run_replicate(
-    setup: str,
+    config: ExperimentConfig,
     out_dir: str | Path,
-    config: ExperimentConfig | None = None,
-    shots: int | None = None,
-    seed: int | None = None,
     constrained: bool = False,
     emit_shots: bool = False,
 ) -> RunOutput:
-    """Chain simulate, calibrate, reconstruct, and metrics for one layout.
+    """Chain every stage the configured layout measures.
 
-    A single simulation feeds every stage so the emitted documents are
-    mutually consistent.  The summary repeats only numbers that already
-    appear in the stage documents.
+    Writes the config, then the stage documents of one simulation, so
+    they are mutually consistent, then a summary that repeats only
+    numbers already in the stage documents.
     """
-    if config is None:
-        config = default_config(setup, shots=shots, seed=seed)
-    else:
-        if config.setup != setup:
-            raise ConfigError(f"config is for setup {config.setup!r}, requested {setup!r}")
-        config = apply_overrides(config, shots=shots, seed=seed)
     out_dir = Path(out_dir)
+    stages, summarize = _LAYOUT_STAGES[config.setup]
     paths: list[str] = []
-
     _write(out_dir, "config.json", tmdio.serialize_config(config), paths)
-    result = _run(config, keep_shots=emit_shots)
-    sim_doc = _simulation_doc(config, result)
-    _write(out_dir, "simulation.json", sim_doc, paths)
-    _write_click_tables(out_dir, result, paths)
-    if emit_shots:
-        _emit_shots(out_dir, result, paths)
-
-    summary: dict = {
+    docs = _chain(config, out_dir, stages, paths, constrained, emit_shots)
+    summary = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "summary",
         "setup": config.setup,
         "shots": config.shots,
         "seed": config.seed,
+        **summarize(config, docs),
     }
-
-    if config.setup == "A":
-        calibration = _calibration_doc(config, result)
-        _write(out_dir, "calibration.json", calibration, paths)
-        summary.update(_summary_a(config, calibration))
-    elif config.setup == "B":
-        calibration = _calibration_doc(config, result)
-        _write(out_dir, "calibration.json", calibration, paths)
-        recon = _reconstruction_doc(config, result, constrained)
-        _write(out_dir, "reconstruction.json", recon, paths)
-        _write_distribution_tables(out_dir, recon, paths)
-        fit = _fit_doc(PhotonDistribution(np.asarray(recon["idler"]["probabilities"])))
-        _write(out_dir, "fit.json", fit, paths)
-        summary.update(_summary_b(recon, fit, calibration))
-    elif config.setup == "C":
-        recon = _reconstruction_doc(config, result, constrained)
-        _write(out_dir, "reconstruction.json", recon, paths)
-        _write_distribution_tables(out_dir, recon, paths)
-        summary.update(_summary_c(recon))
-    else:
-        calibration = _calibration_doc(config, result)
-        _write(out_dir, "calibration.json", calibration, paths)
-        recon = _reconstruction_doc(config, result, constrained)
-        _write(out_dir, "reconstruction.json", recon, paths)
-        _write_distribution_tables(out_dir, recon, paths)
-        joint = JointPhotonDistribution(np.asarray(recon["joint"]["probabilities"]))
-        raw = JointPhotonDistribution(result.joint_clicks.frequencies)
-        metrics = {
-            "format_version": tmdio.FORMAT_VERSION,
-            "kind": "metrics",
-            "joint": _joint_metrics(joint),
-            "raw": _joint_metrics(raw),
-        }
-        _write(out_dir, "metrics.json", metrics, paths)
-        summary.update(_summary_d(metrics))
-
     _write(out_dir, "summary.json", summary, paths)
     return RunOutput(summary, tuple(paths))

@@ -100,8 +100,8 @@ def _check_invertible(tmd: TMDConfig) -> None:
 
 
 def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
-    conv = convolution_matrix(tmd.bin_probs, tmd.n_max).matrix
-    loss = loss_matrix(tmd.efficiency, tmd.n_max).matrix
+    conv = convolution_matrix(tmd.bin_probs, tmd.n_max)
+    loss = loss_matrix(tmd.efficiency, tmd.n_max)
     return conv, loss
 
 

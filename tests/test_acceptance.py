@@ -75,7 +75,7 @@ def test_02_occupation_matrix_oracles():
     for K in range(1, 5):
         ramp = np.arange(1.0, K + 1.0)
         for bin_probs in (ramp / ramp.sum(), np.full(K, 1.0 / K)):
-            matrix = convolution_matrix(bin_probs, 8).matrix
+            matrix = convolution_matrix(bin_probs, 8)
             for n in range(9):
                 expected = by_enumeration(bin_probs, n)
                 assert np.abs(matrix[:, n] - expected).max() < 1e-12
@@ -89,7 +89,7 @@ def test_02_occupation_matrix_oracles():
         return table[n][c]
 
     for K in (2, 4, 8):
-        matrix = convolution_matrix(np.full(K, 1.0 / K), 8).matrix
+        matrix = convolution_matrix(np.full(K, 1.0 / K), 8)
         for n in range(9):
             for c in range(K + 1):
                 closed = math.comb(K, c) * math.factorial(c) * stirling2(n, c) / K**n

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tmdkit import read_json_doc, write_json_doc
+from tmdkit import parse_config, read_json_doc, serialize_config, write_json_doc
 from tmdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -164,6 +164,20 @@ class TestArgumentErrors:
         })
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["simulate", "replicate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--shots", 0),
+        ("--seed", -1),
+        ("--seed", 2**64),
+    ])
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, command, flag, value):
+        layout = ["--setup", "A"] if command == "simulate" else ["A"]
+        out = tmp_path / "o"
+        code = run_cli(command, *layout, "--shots", 100, flag, value, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--version")
@@ -293,3 +307,31 @@ class TestReplicate:
             if name == "manifest.json":
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_written_config_reads_back(self, tmp_path):
+        out = tmp_path / "out"
+        seed = 2**64 - 1
+        assert run_cli("replicate", "D", "--shots", 2_000, "--seed", seed, "--out", out) == EXIT_OK
+        config = parse_config(out / "config.json")
+        assert config.seed == seed
+        assert config.shots == 2_000
+        assert serialize_config(config) == read_json_doc(out / "manifest.json")["config"]
+
+
+class TestStageCommandsMatchReplicate:
+    """A stage command writes the same bytes as the same stage inside ``replicate``."""
+
+    @pytest.mark.parametrize("layout, stages, extra", [
+        ("C", ("simulate", "reconstruct"), ["--shots", 20_000]),
+        ("D", ("simulate", "calibrate", "reconstruct"), ["--shots", 20_000, "--seed", 7]),
+    ])
+    def test_same_files(self, tmp_path, layout, stages, extra):
+        chained = tmp_path / "replicate"
+        assert run_cli("replicate", layout, *extra, "--out", chained) == EXIT_OK
+        for stage in stages:
+            alone = tmp_path / stage
+            assert run_cli(stage, "--setup", layout, *extra, "--out", alone) == EXIT_OK
+            names = sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
+            assert names
+            for name in names:
+                assert (alone / name).read_bytes() == (chained / name).read_bytes(), (stage, name)

@@ -9,9 +9,8 @@ from tmdkit.pipelines import (
     DEFAULT_SHOTS,
     apply_overrides,
     default_config,
-    run_calibrate,
     run_metrics_file,
-    run_reconstruct,
+    run_stage,
 )
 
 
@@ -39,10 +38,10 @@ class TestDefaultConfigs:
 class TestRunners:
     def test_calibrate_rejects_merged_arms(self, tmp_path):
         with pytest.raises(DomainError):
-            run_calibrate(default_config("C", shots=100), tmp_path)
+            run_stage("calibrate", default_config("C", shots=100), tmp_path)
 
     def test_reconstruct_collective_output(self, tmp_path):
-        output = run_reconstruct(default_config("C", shots=20_000), tmp_path)
+        output = run_stage("reconstruct", default_config("C", shots=20_000), tmp_path)
         fragment = output.primary["collective"]
         probs = np.asarray(fragment["probabilities"], dtype=float)
         assert probs.sum() == pytest.approx(1.0)
