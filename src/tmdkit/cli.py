@@ -31,9 +31,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tmdkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser, constrained: bool = False) -> None:
+    def add_run_flags(
+        p: argparse.ArgumentParser, constrained: bool = False, setup: str = "--setup"
+    ) -> None:
+        # replicate takes its layout as a positional "setup" and has no --setup
+        p.add_argument(setup, choices=SETUPS, help="use the stock config of this layout")
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--setup", choices=SETUPS, help="use the stock config of this layout")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--shots", type=int, help="override the config shot count")
         p.add_argument("--out", default="tmdkit-out", help="output directory")
@@ -63,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tmdkit-out", help="output directory")
 
     p = sub.add_parser("replicate", help="full measurement chain for one layout")
-    p.add_argument("setup", choices=SETUPS, help="layout to replicate")
-    add_run_flags(p, constrained=True)
+    add_run_flags(p, constrained=True, setup="setup")
     p.add_argument("--emit-shots", action="store_true", help="also write per-shot masks as CSV")
     return parser
 

@@ -9,12 +9,11 @@ matrices acting on probability vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import comb
-from scipy.stats import binom as _binom
 
 from .errors import DomainError
 from .stats import JointPhotonDistribution, PhotonDistribution, combine_collective
@@ -110,8 +109,13 @@ def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
         raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    idx = np.arange(n_max + 1)
-    entries = _binom.pmf(idx[:, None], idx[None, :], efficiency)
+    # Pascal's rule, one column per added photon (lost with weight 1 - eta,
+    # kept with weight eta): exact zeros for n > m, exact rows at eta 0 and 1
+    entries = np.zeros((n_max + 1, n_max + 1))
+    entries[0, 0] = 1.0
+    for m in range(1, n_max + 1):
+        entries[:, m] = (1.0 - efficiency) * entries[:, m - 1]
+        entries[1:, m] += efficiency * entries[:-1, m - 1]
     return _column_stochastic(entries)
 
 
@@ -137,7 +141,7 @@ def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray
     entries = np.zeros((K + 1, n_max + 1))
     for c in range(K + 1):
         for t in range(c + 1):
-            weight = float(comb(K - t, c - t, exact=True))
+            weight = float(math.comb(K - t, c - t))
             entries[c] += (-1) ** (c - t) * weight * moments[t]
     # n photons cannot occupy more than n bins; the alternating sums above
     # leave roundoff residue where exact zeros are required

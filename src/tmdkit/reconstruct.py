@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import nnls
 
 from .detector import TMDConfig, convolution_matrix, loss_matrix
 from .errors import (
@@ -108,19 +106,22 @@ def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
 def _solve_stages(conv: np.ndarray, loss: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Least-squares solution of (conv @ loss) p = rho, rho may be a matrix."""
     if conv.shape[0] == conv.shape[1]:
-        # both stages are upper triangular; back-substitution preserves
-        # accuracy where an SVD-based pseudo-inverse collapses
-        surviving = solve_triangular(conv, rho, lower=False)
-        return solve_triangular(loss, surviving, lower=False)
+        # both stages are upper triangular, so LU pivots nowhere: this is
+        # back-substitution, accurate where an SVD pseudo-inverse collapses
+        return np.linalg.solve(loss, np.linalg.solve(conv, rho))
     solution, *_ = np.linalg.lstsq(conv @ loss, rho, rcond=None)
     return solution
 
 
-def _pseudo_inverse(conv: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    if conv.shape[0] == conv.shape[1]:
-        eye = np.eye(conv.shape[0])
-        return _solve_stages(conv, loss, eye)
-    return np.linalg.pinv(conv @ loss)
+def _constrained_solve(composite: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Non-negative least squares with a normalization row, renormalized."""
+    # imported here so that only the constrained path loads the optimizer
+    from scipy.optimize import nnls
+
+    augmented = np.vstack([composite, np.ones((1, composite.shape[1]))])
+    solution, _ = nnls(augmented, np.append(rho, 1.0))
+    probs, _ = _renormalized(solution)
+    return probs
 
 
 ClickInput = ClickStatistics | PhotonDistribution | np.ndarray
@@ -175,10 +176,7 @@ def invert_single(
     composite = conv @ loss
     condition = float(np.linalg.cond(composite))
     if constrained:
-        augmented = np.vstack([composite, np.ones((1, composite.shape[1]))])
-        target = np.concatenate([rho, [1.0]])
-        solution, _ = nnls(augmented, target)
-        probs, _ = _renormalized(solution)
+        probs = _constrained_solve(composite, rho)
         covariance = None
         method = "constrained"
     else:
@@ -221,11 +219,7 @@ def invert_joint(
     composite_i = conv_i @ loss_i
     condition = float(np.linalg.cond(composite_s) * np.linalg.cond(composite_i))
     if constrained:
-        kron = np.kron(composite_s, composite_i)
-        augmented = np.vstack([kron, np.ones((1, kron.shape[1]))])
-        target = np.concatenate([rho.ravel(), [1.0]])
-        solution, _ = nnls(augmented, target)
-        probs, _ = _renormalized(solution)
+        probs = _constrained_solve(np.kron(composite_s, composite_i), rho.ravel())
         probs = probs.reshape(tmd_signal.n_max + 1, tmd_idler.n_max + 1)
         method = "constrained"
     else:
@@ -288,7 +282,8 @@ def propagate_errors(
         if shots <= 0:
             raise DomainError("shots must be positive")
         # d(normalized p)/d(rho), renormalization projects out total-mass shifts
-        jacobian = (np.eye(size) - np.outer(probs, np.ones(size))) @ _pseudo_inverse(conv, loss)
+        inverse = _solve_stages(conv, loss, np.eye(rho.size))
+        jacobian = (np.eye(size) - np.outer(probs, np.ones(size))) @ inverse
         jacobian /= total
         freq_cov = (np.diag(rho) - np.outer(rho, rho)) / float(shots)
         covariance += jacobian @ freq_cov @ jacobian.T

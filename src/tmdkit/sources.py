@@ -9,13 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import nbinom as _nbinom
 
 from .errors import DomainError
 from .stats import (
     JointPhotonDistribution,
     PhotonDistribution,
     default_n_max,
+    negative_binomial_probs,
     poisson_probs,
     thermal_probs,
 )
@@ -61,13 +61,9 @@ def multimode_pair_dist(modes: int, total_mean: float, n_max: int | None = None)
     """
     if not isinstance(modes, (int, np.integer)) or modes < 1:
         raise DomainError("modes must be a positive integer")
-    if total_mean < 0:
-        raise DomainError("total_mean must be non-negative")
     if n_max is None:
         n_max = default_n_max(total_mean)
-    per_mode = total_mean / modes
-    p = _nbinom.pmf(np.arange(n_max + 1), modes, 1.0 / (1.0 + per_mode))
-    return PhotonDistribution(p / p.sum())
+    return PhotonDistribution(negative_binomial_probs(total_mean, n_max, modes))
 
 
 def twin_beam_joint(pair_dist: PhotonDistribution) -> JointPhotonDistribution:

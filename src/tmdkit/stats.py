@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson as _poisson
 
 from .errors import DegenerateConditionError, DomainError, NumericalError
 
@@ -273,11 +272,28 @@ def thermal_probs(mean: float, n_max: int) -> np.ndarray:
 
 def poisson_probs(mean: float, n_max: int) -> np.ndarray:
     """Truncated, renormalized Poissonian probability vector."""
+    return negative_binomial_probs(mean, n_max)
+
+
+def negative_binomial_probs(mean: float, n_max: int, modes: float = math.inf) -> np.ndarray:
+    """Negative binomial: photon number of ``modes`` identical thermal modes, renormalized.
+
+    Built in log space from p(n)/p(n-1) = (n + modes - 1) / (modes + mean)
+    * mean / n; infinitely many modes give the Poissonian, mean / n.
+    """
     if mean < 0:
-        raise DomainError("Poissonian mean must be non-negative")
+        raise DomainError("mean must be non-negative")
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    p = _poisson.pmf(np.arange(n_max + 1), mean)
+    if mean == 0.0:
+        return (np.arange(n_max + 1) == 0).astype(float)
+    n = np.arange(1, n_max + 1, dtype=float)
+    ratio = mean / n
+    if not math.isinf(modes):
+        ratio *= (n + (modes - 1.0)) / (modes + mean)
+    log_p = np.concatenate([[0.0], np.cumsum(np.log(ratio))])
+    # shift by the largest term so large means do not overflow
+    p = np.exp(log_p - log_p.max())
     return p / p.sum()
 
 

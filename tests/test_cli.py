@@ -297,6 +297,16 @@ class TestReplicate:
         code = run_cli("replicate", "B", "--config", config, "--out", tmp_path / "o")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv", [("B", "--setup", "D"), ("--setup", "D", "B")], ids=["flag-last", "flag-first"]
+    )
+    def test_layout_is_named_once(self, tmp_path, argv):
+        # replicate has no --setup flag, so a second layout cannot override the first
+        with pytest.raises(SystemExit) as exc:
+            run_cli("replicate", *argv, "--shots", 100, "--out", tmp_path / "o")
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_runs_match_except_manifest(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("replicate", "A", "--shots", 5_000, "--out", out_a)

@@ -102,6 +102,21 @@ class TestLossMatrix:
                 expected = math.comb(m, n) * eta**n * (1 - eta) ** (m - n) if n <= m else 0.0
                 assert matrix[n, m] == pytest.approx(expected, abs=1e-14)
 
+        # scipy is the reference here only; tmdkit builds the matrix without it
+        from scipy.stats import binom
+
+        for eta in (0.0274, 0.3, 0.97):
+            for n_max in (4, 20, 60):
+                matrix = loss_matrix(eta, n_max)
+                idx = np.arange(n_max + 1)
+                expected = binom.pmf(idx[:, None], idx[None, :], eta)
+                resolved = expected > 1e-250
+                np.testing.assert_allclose(
+                    matrix[resolved], expected[resolved], rtol=1e-12, err_msg=f"{eta=} {n_max=}"
+                )
+                # n > m: more survivors than photons is impossible, exactly
+                assert not matrix[np.tril_indices(n_max + 1, -1)].any(), f"{eta=} {n_max=}"
+
     def test_unit_efficiency_is_identity(self):
         np.testing.assert_array_equal(loss_matrix(1.0, 6), np.eye(7))
 

@@ -267,8 +267,11 @@ class TestModelProbs:
     def test_poisson_matches_renormalized_pmf(self):
         from scipy.stats import poisson
 
-        raw = poisson.pmf(np.arange(7), 2.2)
-        np.testing.assert_allclose(poisson_probs(2.2, 6), raw / raw.sum())
+        for mean, n_max in ((0.0, 6), (1e-3, 6), (2.2, 6), (30.0, 80)):
+            raw = poisson.pmf(np.arange(n_max + 1), mean)
+            np.testing.assert_allclose(
+                poisson_probs(mean, n_max), raw / raw.sum(), err_msg=f"{mean=}"
+            )
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(DomainError):
