@@ -9,7 +9,6 @@ matrices acting on probability vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,8 +17,8 @@ import numpy as np
 from .errors import DomainError
 from .stats import JointPhotonDistribution, PhotonDistribution, combine_collective
 
-# Subset enumeration is exponential in the bin count.
-MAX_BINS = 20
+# The simulator packs one bin per bit of a uint32 click mask.
+MAX_BINS = 32
 BIN_PROB_ATOL = 1e-12
 STOCHASTIC_ATOL = 1e-12
 
@@ -42,6 +41,8 @@ class TMDConfig:
         probs = np.asarray(self.bin_probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise DomainError("bin_probs must be a non-empty 1-d vector")
+        if probs.size > MAX_BINS:
+            raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
         if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
             raise DomainError("bin probabilities must be finite and non-negative")
         if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:
@@ -74,8 +75,8 @@ class TMDConfig:
     @classmethod
     def uniform(cls, bins: int = 8, efficiency: float = 1.0, n_max: int | None = None) -> "TMDConfig":
         """Detector with equally likely bins; n_max defaults to the bin count."""
-        if bins < 1:
-            raise DomainError("bins must be >= 1")
+        if not 1 <= bins <= MAX_BINS:
+            raise DomainError(f"bins {bins} outside [1, MAX_BINS={MAX_BINS}]")
         if n_max is None:
             n_max = bins
         return cls(np.full(bins, 1.0 / bins), efficiency, n_max)
@@ -121,31 +122,24 @@ def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray:
-    K = len(bin_probs)
-    probs = np.asarray(bin_probs, dtype=float)
-    n_subsets = 1 << K
-    masks = np.arange(n_subsets, dtype=np.uint32)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    subset_sum = np.zeros(n_subsets)
-    for k in range(K):
-        subset_sum += ((masks >> np.uint32(k)) & np.uint32(1)) * probs[k]
+    """Occupation matrix grown one bin at a time from non-negative terms only.
 
-    # moments[t, n] = sum over bin subsets T of size t of (sum of probs in T)^n
-    moments = np.empty((K + 1, n_max + 1))
-    power = np.ones(n_subsets)
-    for n in range(n_max + 1):
-        moments[:, n] = np.bincount(sizes, weights=power, minlength=K + 1)
-        power *= subset_sum
-
-    # inclusion-exclusion over occupied-bin sets, grouped by subset size
-    entries = np.zeros((K + 1, n_max + 1))
-    for c in range(K + 1):
-        for t in range(c + 1):
-            weight = float(math.comb(K - t, c - t))
-            entries[c] += (-1) ** (c - t) * weight * moments[t]
-    # n photons cannot occupy more than n bins; the alternating sums above
-    # leave roundoff residue where exact zeros are required
-    entries[np.arange(K + 1)[:, None] > np.arange(n_max + 1)[None, :]] = 0.0
+    Adding a bin of probability p to bins of total probability s keeps each
+    photon in the earlier bins with probability s / (s + p), a loss stage;
+    the new bin is occupied exactly when it takes at least one photon.
+    """
+    entries = np.zeros((len(bin_probs) + 1, n_max + 1))
+    entries[0, 0] = 1.0
+    seen = 0.0
+    for p in bin_probs:
+        if p == 0.0:
+            continue
+        # stay[j, m] = P(j of m photons stay in the earlier bins)
+        stay = loss_matrix(seen / (seen + p), n_max)
+        seen += p
+        grown = entries * np.diag(stay)
+        grown[1:] += entries[:-1] @ np.triu(stay, 1)
+        entries = grown
     entries.flags.writeable = False
     return entries
 
@@ -153,14 +147,14 @@ def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray
 def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
     """Bin-occupation stage: entry (c, n) is P(n photons occupy exactly c bins).
 
-    Computed by inclusion-exclusion over subsets of bins, so the bin
-    count is capped at MAX_BINS.
+    Built bin by bin from loss stages (see ``_convolution_entries``); the
+    bin count is capped at MAX_BINS like every detector's.
     """
     probs = np.asarray(bin_probs, dtype=float)
     if probs.ndim != 1 or probs.size < 1:
         raise DomainError("bin_probs must be a non-empty 1-d vector")
     if probs.size > MAX_BINS:
-        raise DomainError(f"subset enumeration over {probs.size} bins exceeds MAX_BINS={MAX_BINS}")
+        raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
     if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
         raise DomainError("bin probabilities must be finite and non-negative")
     if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:

@@ -211,12 +211,12 @@ def _parse_detector(doc: Any, setup: str, arm: str) -> tuple[TMDConfig, float]:
             probs = np.asarray(probs, dtype=float)
             tmd = TMDConfig(probs, float(efficiency), probs.size if n_max is None else n_max)
         else:
-            bins = doc.get("bins", 1 if _default_detector(setup, arm).bins == 1 else 8)
+            bins = doc.get("bins", _default_detector(setup, arm).bins)
             if not _is_int(bins) or bins < 1:
                 raise ConfigError(f"{arm}.bins must be a positive integer")
             tmd = TMDConfig.uniform(int(bins), float(efficiency), n_max)
     except DomainError as exc:
-        raise ConfigError(f"{arm}.bin_probs: {exc}") from exc
+        raise ConfigError(f"{arm}: {exc}") from exc
     return tmd, float(sigma)
 
 

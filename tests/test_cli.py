@@ -164,6 +164,19 @@ class TestArgumentErrors:
         })
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    def test_more_bins_than_a_click_mask_holds(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", {
+            "setup": "D",
+            "shots": 100,
+            "seed": 1,
+            "source": {"kind": "poisson", "mean": 3.0, "n_max": 30},
+            "signal": {"bins": 40},
+        })
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", config, "--out", out) == EXIT_CONFIG
+        assert "MAX_BINS" in capsys.readouterr().err
+        assert not (out / "simulation.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "replicate"])
     @pytest.mark.parametrize("flag, value", [
         ("--shots", 0),

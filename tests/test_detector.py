@@ -60,7 +60,7 @@ class TestConvolutionMatrix:
             expected = occupancy_by_enumeration(bin_probs, n)
             np.testing.assert_allclose(matrix[:, n], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("bins", [2, 4, 8])
+    @pytest.mark.parametrize("bins", [2, 4, 8, 13, 20, 32])
     def test_uniform_bins_match_stirling_form(self, bins):
         n_max = 8
         matrix = convolution_matrix(np.full(bins, 1.0 / bins), n_max)
@@ -82,6 +82,23 @@ class TestConvolutionMatrix:
         matrix = convolution_matrix(np.array([0.2, 0.3, 0.5]), 7)
         np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-12)
         assert matrix.min() >= 0.0
+
+        # non-uniform splittings of 11-20 bins
+        rng = np.random.default_rng(16)
+        for bins in range(11, 21):
+            for _ in range(8):
+                matrix = convolution_matrix(rng.dirichlet(np.full(bins, 2.0)), bins)
+                np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-12)
+                assert matrix.min() >= 0.0
+
+    def test_large_cutoff_stays_stochastic(self):
+        bins, n_max = 13, 1100
+        matrix = convolution_matrix(np.full(bins, 1.0 / bins), n_max)
+        assert np.isfinite(matrix).all()
+        np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-12)
+        # n photons cannot occupy more than n bins, exactly
+        c, n = np.indices(matrix.shape)
+        assert not matrix[c > n].any()
 
     def test_rejects_unnormalized_probs(self):
         with pytest.raises(DomainError):
@@ -155,6 +172,11 @@ class TestTMDConfig:
             TMDConfig(np.array([0.9, 0.2]), 1.0, 2)
         with pytest.raises(DomainError):
             TMDConfig(np.array([-0.5, 1.5]), 1.0, 2)
+        # one bin per bit of a uint32 click mask
+        with pytest.raises(DomainError, match="MAX_BINS"):
+            TMDConfig.uniform(MAX_BINS + 1)
+        with pytest.raises(DomainError, match="MAX_BINS"):
+            TMDConfig(np.full(MAX_BINS + 1, 1.0 / (MAX_BINS + 1)), 1.0, 2)
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(DomainError):

@@ -232,6 +232,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_doc(doc)
 
+    def test_detector_error_names_the_arm_only(self):
+        doc = self.minimal() | {"idler": {"bins": 8, "efficiency": 1.5}}
+        with pytest.raises(ConfigError, match=r"^idler: efficiency 1.5 outside"):
+            config_from_doc(doc)
+
     def test_rejects_seed_out_of_range(self):
         doc = self.minimal() | {"seed": 2**64}
         with pytest.raises(ConfigError, match="seed"):

@@ -55,13 +55,14 @@ class TestKlyshkoEfficiency:
 
 class TestInvertSingle:
     def test_square_roundtrip(self):
-        tmd = TMDConfig.uniform(8, efficiency=0.5)
-        dist = thermal_dist(0.6, 8)
-        result = invert_single(tmd, forward(tmd, dist))
-        np.testing.assert_allclose(result.dist.probs, dist.probs, atol=1e-10)
-        assert result.method == "direct"
-        assert result.residual < 1e-10
-        assert result.condition_number > 1.0
+        for bins in (8, 24):
+            tmd = TMDConfig.uniform(bins, efficiency=0.5)
+            dist = thermal_dist(0.6, bins)
+            result = invert_single(tmd, forward(tmd, dist))
+            np.testing.assert_allclose(result.dist.probs, dist.probs, atol=1e-10)
+            assert result.method == "direct"
+            assert result.residual < 1e-10
+            assert result.condition_number > 1.0
 
     def test_square_roundtrip_survives_low_efficiency(self):
         # the composite condition number is astronomical here; the
