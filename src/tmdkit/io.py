@@ -19,9 +19,9 @@ from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-from .detector import TMDConfig
+from .detector import MAX_BINS, TMDConfig
 from .errors import ConfigError, DataFormatError, DomainError
-from .montecarlo import SETUPS, ExperimentConfig
+from .montecarlo import SETUPS, ExperimentConfig, _click_histogram
 from .sources import SourceModel
 from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
 
@@ -115,7 +115,7 @@ def read_json_doc(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
@@ -267,7 +267,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -352,11 +352,16 @@ def ingest_shots(
     the admissible masks.  With both arms present the result is the
     joint click histogram; with one arm it is that arm's histogram.
     """
+    for arm, bins in (("signal", signal_bins), ("idler", idler_bins)):
+        if bins is not None and not (_is_int(bins) and 1 <= bins <= MAX_BINS):
+            raise DomainError(
+                f"{arm}_bins must be an integer in [1, MAX_BINS={MAX_BINS}], got {bins!r}"
+            )
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header")
@@ -367,49 +372,55 @@ def ingest_shots(
         "idler_mask",
     } or len(set(fields)) != len(fields):
         raise DataFormatError(f"{path}: unrecognized header {header!r}")
-    has_signal = "signal_mask" in fields
-    has_idler = "idler_mask" in fields
-    if has_signal and signal_bins is None:
-        raise DataFormatError("signal_mask column present but signal_bins not declared")
-    if has_idler and idler_bins is None:
-        raise DataFormatError("idler_mask column present but idler_bins not declared")
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        raise DataFormatError(f"{path}: no shots")
+    declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
+    for name in fields[1:]:
+        if declared[name] is None:
+            argument = name.replace("mask", "bins")
+            raise DataFormatError(f"{name} column present but {argument} not declared")
 
-    parsed = np.empty((len(rows), len(fields)), dtype=np.int64)
-    for i, line in enumerate(rows):
+    # blank lines are skipped, so data row k need not sit on file line k + 2
+    parsed = np.empty((len(lines) - 1, len(fields)), dtype=np.int64)
+    rows = 0
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         parts = line.split(",")
         if len(parts) != len(fields):
-            raise DataFormatError(f"{path} line {i + 2}: expected {len(fields)} fields")
+            raise DataFormatError(f"{path} line {number}: expected {len(fields)} fields")
         try:
-            parsed[i] = [int(part) for part in parts]
+            parsed[rows] = [int(part) for part in parts]
         except ValueError as exc:
-            raise DataFormatError(f"{path} line {i + 2}: non-integer field") from exc
+            raise DataFormatError(f"{path} line {number}: non-integer field") from exc
+        except OverflowError as exc:
+            raise DataFormatError(f"{path} line {number}: field outside the int64 range") from exc
+        rows += 1
+    if not rows:
+        raise DataFormatError(f"{path}: no shots")
+    parsed = parsed[:rows]
 
-    def clicks_for(column_name: str, bins: int) -> np.ndarray:
-        masks = parsed[:, fields.index(column_name)]
-        bad = np.nonzero((masks < 0) | (masks >= (1 << bins)))[0]
+    # a joint histogram is indexed (signal, idler) whatever the column order
+    masks, shape = [], []
+    for name, bins in declared.items():
+        if name not in fields:
+            continue
+        column = parsed[:, fields.index(name)]
+        bad = np.flatnonzero((column < 0) | (column >= (1 << bins)))
         if bad.size:
+            row = int(bad[0])
             raise DataFormatError(
-                f"{path} line {int(bad[0]) + 2}: mask {int(masks[bad[0]])} "
+                f"{path} line {_file_line(lines, row)}: mask {int(column[row])} "
                 f"does not fit {bins} bins"
             )
-        return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+        masks.append(column)
+        shape.append(bins + 1)
+    counts = _click_histogram(tuple(masks), tuple(shape)).reshape(shape)
+    return ClickStatistics(counts, rows)
 
-    total = len(rows)
-    if has_signal and has_idler:
-        c_s = clicks_for("signal_mask", signal_bins)
-        c_i = clicks_for("idler_mask", idler_bins)
-        counts = np.bincount(
-            c_s * (idler_bins + 1) + c_i, minlength=(signal_bins + 1) * (idler_bins + 1)
-        ).reshape(signal_bins + 1, idler_bins + 1)
-        return ClickStatistics(counts, total)
-    if has_signal:
-        c = clicks_for("signal_mask", signal_bins)
-        return ClickStatistics(np.bincount(c, minlength=signal_bins + 1), total)
-    c = clicks_for("idler_mask", idler_bins)
-    return ClickStatistics(np.bincount(c, minlength=idler_bins + 1), total)
+
+def _file_line(lines: list[str], row: int) -> int:
+    """File line (1-based) of data row ``row`` (0-based), counting the blank lines skipped."""
+    numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
+    return numbers[row]
 
 
 def write_distribution_csv(

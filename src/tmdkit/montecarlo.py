@@ -10,6 +10,7 @@ how the chunks are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,20 +28,6 @@ CHUNK_SIZE = 1 << 16
 # calibration (A), threshold plus TMD for one marginal (B), one shared
 # TMD fed by both arms (C), one TMD per arm (D).
 SETUPS = ("A", "B", "C", "D")
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Full record of a single simulated shot."""
-
-    shot_id: int
-    pairs: int
-    signal_detected: int
-    idler_detected: int
-    signal_mask: int
-    idler_mask: int
-    signal_clicks: int
-    idler_clicks: int
 
 
 @dataclass(frozen=True)
@@ -154,33 +141,16 @@ def _readout(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig) -> n
     return ((occupancy > 0) @ bits).astype(np.uint32)
 
 
-def _clicks(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).astype(np.int64)
+def _click_histogram(masks: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """Flat histogram of click numbers over ``shape``, one mask array per axis.
 
-
-def sample_shot(
-    source: SourceModel,
-    tmd_signal: TMDConfig,
-    tmd_idler: TMDConfig,
-    rng: np.random.Generator,
-    shot_id: int = 0,
-) -> ShotRecord:
-    """Draw one complete shot; useful for inspection and tests."""
-    pairs = _sample_pairs(rng, _pair_cdf(source), 1)
-    s_det = rng.binomial(pairs, tmd_signal.efficiency)
-    s_mask = _readout(rng, s_det, tmd_signal)
-    i_det = rng.binomial(pairs, tmd_idler.efficiency)
-    i_mask = _readout(rng, i_det, tmd_idler)
-    return ShotRecord(
-        shot_id=shot_id,
-        pairs=int(pairs[0]),
-        signal_detected=int(s_det[0]),
-        idler_detected=int(i_det[0]),
-        signal_mask=int(s_mask[0]),
-        idler_mask=int(i_mask[0]),
-        signal_clicks=int(_clicks(s_mask)[0]),
-        idler_clicks=int(_clicks(i_mask)[0]),
-    )
+    Shared by the simulation and by :func:`tmdkit.io.ingest_shots`; masks
+    must be non-negative and fit their axis.
+    """
+    index = np.bitwise_count(masks[0]).astype(np.int64)
+    for mask, width in zip(masks[1:], shape[1:]):
+        index = index * width + np.bitwise_count(mask)
+    return np.bincount(index, minlength=math.prod(shape))
 
 
 def _two_arm_masks(
@@ -216,17 +186,14 @@ def _simulate(
     tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
     shape = tuple(tmd.bins + 1 for tmd in tmds)
     cdf = _pair_cdf(config.source)
-    histogram = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    histogram = np.zeros(math.prod(shape), dtype=np.int64)
     kept = [np.empty(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
 
     offset = 0
     for chunk_index, size in iter_shot_chunks(config.shots):
         rng = _chunk_rng(config.seed, chunk_index)
         masks = readout(rng, _sample_pairs(rng, cdf, size), config)
-        index = _clicks(masks[0])
-        for mask, width in zip(masks[1:], shape[1:]):
-            index = index * width + _clicks(mask)
-        histogram += np.bincount(index, minlength=histogram.size)
+        histogram += _click_histogram(masks, shape)
         if keep_shots:
             for store, mask in zip(kept, masks):
                 store[offset : offset + size] = mask

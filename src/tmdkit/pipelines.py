@@ -32,7 +32,7 @@ from .montecarlo import (
     run_collective_experiment,
     run_experiment,
 )
-from .reconstruct import ReconstructionResult, invert_joint, invert_single, propagate_errors
+from .reconstruct import invert_joint, invert_single, klyshko_efficiency, propagate_errors
 from .sources import SourceModel
 from .stats import (
     ClickStatistics,
@@ -58,59 +58,34 @@ class RunOutput:
     paths: tuple[str, ...]
 
 
-def default_config(setup: str, shots: int | None = None, seed: int | None = None) -> ExperimentConfig:
-    """Stock configuration of each measurement layout.
+# Stock layouts: source and its parameter, then (bins, efficiency) of the
+# signal and idler detectors.  Sources and efficiencies follow the
+# reference twin-beam experiment the layouts are modeled on.
+_STOCK_LAYOUTS = {
+    "A": (SourceModel.fock_pairs, 1, (1, 0.117), (1, 0.137)),
+    "B": (SourceModel.single_mode_squeezer, 0.5, (1, 0.117), (8, 0.113)),
+    "C": (SourceModel.single_mode_squeezer, 0.05, (8, 0.117), (8, 0.117)),
+    "D": (SourceModel.poissonian_pairs, 0.2, (8, 0.0274), (8, 0.111)),
+}
+# Calibration uncertainty of every stock arm efficiency.
+_STOCK_SIGMA_ETA = 0.009
 
-    Sources and efficiencies follow the reference twin-beam experiment
-    the layouts are modeled on; override any of it via a config file.
-    """
-    shots = DEFAULT_SHOTS if shots is None else shots
-    seed = DEFAULT_SEED if seed is None else seed
-    if setup == "A":
-        return ExperimentConfig(
-            source=SourceModel.fock_pairs(1),
-            setup="A",
-            tmd_signal=TMDConfig.uniform(bins=1, efficiency=0.117),
-            tmd_idler=TMDConfig.uniform(bins=1, efficiency=0.137),
-            shots=shots,
-            seed=seed,
-            sigma_eta_signal=0.009,
-            sigma_eta_idler=0.009,
-        )
-    if setup == "B":
-        return ExperimentConfig(
-            source=SourceModel.single_mode_squeezer(0.5),
-            setup="B",
-            tmd_signal=TMDConfig.uniform(bins=1, efficiency=0.117),
-            tmd_idler=TMDConfig.uniform(bins=8, efficiency=0.113),
-            shots=shots,
-            seed=seed,
-            sigma_eta_signal=0.009,
-            sigma_eta_idler=0.009,
-        )
-    if setup == "C":
-        return ExperimentConfig(
-            source=SourceModel.single_mode_squeezer(0.05),
-            setup="C",
-            tmd_signal=TMDConfig.uniform(bins=8, efficiency=0.117),
-            tmd_idler=TMDConfig.uniform(bins=8, efficiency=0.117),
-            shots=shots,
-            seed=seed,
-            sigma_eta_signal=0.009,
-            sigma_eta_idler=0.009,
-        )
-    if setup == "D":
-        return ExperimentConfig(
-            source=SourceModel.poissonian_pairs(0.2),
-            setup="D",
-            tmd_signal=TMDConfig.uniform(bins=8, efficiency=0.0274),
-            tmd_idler=TMDConfig.uniform(bins=8, efficiency=0.111),
-            shots=shots,
-            seed=seed,
-            sigma_eta_signal=0.009,
-            sigma_eta_idler=0.009,
-        )
-    raise DomainError(f"unknown setup {setup!r}")
+
+def default_config(setup: str, shots: int | None = None, seed: int | None = None) -> ExperimentConfig:
+    """Stock configuration of each measurement layout; override any of it via a config file."""
+    if setup not in _STOCK_LAYOUTS:
+        raise DomainError(f"unknown setup {setup!r}")
+    source, parameter, signal, idler = _STOCK_LAYOUTS[setup]
+    return ExperimentConfig(
+        source=source(parameter),
+        setup=setup,
+        tmd_signal=TMDConfig.uniform(*signal),
+        tmd_idler=TMDConfig.uniform(*idler),
+        shots=DEFAULT_SHOTS if shots is None else shots,
+        seed=DEFAULT_SEED if seed is None else seed,
+        sigma_eta_signal=_STOCK_SIGMA_ETA,
+        sigma_eta_idler=_STOCK_SIGMA_ETA,
+    )
 
 
 def apply_overrides(
@@ -135,36 +110,48 @@ def _clicks_doc(clicks: ClickStatistics) -> dict:
     return {"counts": clicks.counts, "total_shots": clicks.total_shots}
 
 
-def _simulation_doc(config: ExperimentConfig, result: ExperimentResult | CollectiveResult) -> dict:
+def _click_tables(result: ExperimentResult | CollectiveResult) -> dict[str, ClickStatistics]:
+    """Click histograms of a run by name: ``collective`` for layout C, else signal, idler, joint."""
+    if isinstance(result, CollectiveResult):
+        return {"collective": result.clicks}
+    return {
+        "signal": result.signal_clicks,
+        "idler": result.idler_clicks,
+        "joint": result.joint_clicks,
+    }
+
+
+def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
+    """Signal singles, idler singles and coincidences held by a joint click table."""
+    counts = joint.counts
+    return int(counts[1:, :].sum()), int(counts[:, 1:].sum()), int(counts[1:, 1:].sum())
+
+
+def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "simulation",
         "setup": config.setup,
         "config": tmdio.serialize_config(config),
-        "clicks": {},
-        "rates_per_shot": {},
+        "clicks": {arm: _clicks_doc(clicks) for arm, clicks in tables.items()},
     }
-    if isinstance(result, CollectiveResult):
-        doc["clicks"]["collective"] = _clicks_doc(result.clicks)
-        clicked = int(result.clicks.counts[1:].sum())
-        doc["rates_per_shot"]["collective_singles"] = clicked / config.shots
+    if "collective" in tables:
+        clicked = int(tables["collective"].counts[1:].sum())
+        doc["rates_per_shot"] = {"collective_singles": clicked / config.shots}
     else:
-        doc["clicks"]["signal"] = _clicks_doc(result.signal_clicks)
-        doc["clicks"]["idler"] = _clicks_doc(result.idler_clicks)
-        doc["clicks"]["joint"] = _clicks_doc(result.joint_clicks)
-        doc["rates_per_shot"] = {
-            "signal_singles": result.signal_singles / config.shots,
-            "idler_singles": result.idler_singles / config.shots,
-            "coincidences": result.coincidences / config.shots,
-        }
+        names = ("signal_singles", "idler_singles", "coincidences")
+        tallies = _tallies(tables["joint"])
+        doc["rates_per_shot"] = {name: n / config.shots for name, n in zip(names, tallies)}
     return doc
 
 
-def _calibration_doc(config: ExperimentConfig, result: ExperimentResult) -> dict:
+def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "calibration", "setup": config.setup}
+    signal_singles, idler_singles, coincidences = _tallies(tables["joint"])
+    # each arm's efficiency is gated on the opposite arm's singles
     for arm, record, tmd in (
-        ("signal", result.signal_calibration(), config.tmd_signal),
-        ("idler", result.idler_calibration(), config.tmd_idler),
+        ("signal", klyshko_efficiency(coincidences, idler_singles), config.tmd_signal),
+        ("idler", klyshko_efficiency(coincidences, signal_singles), config.tmd_idler),
     ):
         doc[arm] = {
             "efficiency": record.eta,
@@ -205,7 +192,7 @@ def _collective_tmd(config: ExperimentConfig) -> TMDConfig:
 
 def _reconstruction_doc(
     config: ExperimentConfig,
-    result: ExperimentResult | CollectiveResult,
+    tables: dict[str, ClickStatistics],
     constrained: bool,
 ) -> dict:
     doc = {
@@ -215,16 +202,16 @@ def _reconstruction_doc(
         "config": tmdio.serialize_config(config),
         "method": "constrained" if constrained else "direct",
     }
-    if isinstance(result, CollectiveResult):
+    if "collective" in tables:
         tmd = _collective_tmd(config)
         sigma_eta = (config.sigma_eta_signal + config.sigma_eta_idler) / 2.0
-        doc["collective"] = _arm_doc(tmd, result.clicks, sigma_eta, constrained)
+        doc["collective"] = _arm_doc(tmd, tables["collective"], sigma_eta, constrained)
         doc["collective"]["efficiency_note"] = (
             "arm efficiencies averaged; exact only for balanced arms"
         )
         return doc
     if config.setup == "D":
-        joint = invert_joint(config.tmd_signal, config.tmd_idler, result.joint_clicks, constrained)
+        joint = invert_joint(config.tmd_signal, config.tmd_idler, tables["joint"], constrained)
         doc["joint"] = {
             "probabilities": joint.dist.probs,
             "is_physical": joint.dist.is_physical,
@@ -233,10 +220,10 @@ def _reconstruction_doc(
             "method": joint.method,
         }
     doc["signal"] = _arm_doc(
-        config.tmd_signal, result.signal_clicks, config.sigma_eta_signal, constrained
+        config.tmd_signal, tables["signal"], config.sigma_eta_signal, constrained
     )
     doc["idler"] = _arm_doc(
-        config.tmd_idler, result.idler_clicks, config.sigma_eta_idler, constrained
+        config.tmd_idler, tables["idler"], config.sigma_eta_idler, constrained
     )
     return doc
 
@@ -281,17 +268,9 @@ def _write(out_dir: Path, name: str, doc: dict, paths: list[str]) -> dict:
 
 
 def _write_click_tables(
-    out_dir: Path, result: ExperimentResult | CollectiveResult, paths: list[str]
+    out_dir: Path, tables: dict[str, ClickStatistics], paths: list[str]
 ) -> None:
-    if isinstance(result, CollectiveResult):
-        tables = [("collective", result.clicks)]
-    else:
-        tables = [
-            ("signal", result.signal_clicks),
-            ("idler", result.idler_clicks),
-            ("joint", result.joint_clicks),
-        ]
-    for arm, clicks in tables:
+    for arm, clicks in tables.items():
         path = out_dir / f"clicks_{arm}.csv"
         tmdio.write_clicks_csv(path, clicks)
         paths.append(str(path))
@@ -314,7 +293,7 @@ def _write_distribution_tables(out_dir: Path, recon_doc: dict, paths: list[str])
         paths.append(str(path))
 
 
-def _emit_shots(out_dir: Path, result, paths: list[str]) -> None:
+def _emit_shots(out_dir: Path, result: ExperimentResult | CollectiveResult, paths: list[str]) -> None:
     path = out_dir / "shots.csv"
     if isinstance(result, CollectiveResult):
         tmdio.write_shots(path, signal_masks=result.masks)
@@ -331,7 +310,7 @@ def _chain(
     constrained: bool = False,
     emit_shots: bool = False,
 ) -> dict[str, dict]:
-    """Simulate once, then build and write each requested stage.
+    """Simulate once, then build and write each requested stage from the click tables.
 
     Stages run in the fixed order simulate, calibrate, reconstruct, fit,
     metrics, whatever the order of ``stages``; fit and metrics read the
@@ -343,16 +322,17 @@ def _chain(
     out_dir = Path(out_dir)
     run = run_collective_experiment if config.setup == "C" else run_experiment
     result = run(config, keep_shots=emit_shots)
+    tables = _click_tables(result)
     docs: dict[str, dict] = {}
     if "simulate" in stages:
-        docs["simulate"] = _write(out_dir, "simulation.json", _simulation_doc(config, result), paths)
-        _write_click_tables(out_dir, result, paths)
+        docs["simulate"] = _write(out_dir, "simulation.json", _simulation_doc(config, tables), paths)
+        _write_click_tables(out_dir, tables, paths)
         if emit_shots:
             _emit_shots(out_dir, result, paths)
     if "calibrate" in stages:
-        docs["calibrate"] = _write(out_dir, "calibration.json", _calibration_doc(config, result), paths)
+        docs["calibrate"] = _write(out_dir, "calibration.json", _calibration_doc(config, tables), paths)
     if "reconstruct" in stages:
-        recon = _reconstruction_doc(config, result, constrained)
+        recon = _reconstruction_doc(config, tables, constrained)
         docs["reconstruct"] = _write(out_dir, "reconstruction.json", recon, paths)
         _write_distribution_tables(out_dir, recon, paths)
     if "fit" in stages:
@@ -361,7 +341,7 @@ def _chain(
         docs["fit"] = _write(out_dir, "fit.json", _fit_doc(idler), paths)
     if "metrics" in stages:
         joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
-        raw = JointPhotonDistribution(result.joint_clicks.frequencies)
+        raw = JointPhotonDistribution(tables["joint"].frequencies)
         metrics = {
             "format_version": tmdio.FORMAT_VERSION,
             "kind": "metrics",

@@ -44,16 +44,9 @@ class ReconstructionResult:
     """Reconstructed distribution together with inversion diagnostics."""
 
     dist: PhotonDistribution | JointPhotonDistribution
-    covariance: np.ndarray | None
     condition_number: float
     residual: float
     method: str
-
-    def __post_init__(self) -> None:
-        if self.covariance is not None:
-            cov = np.array(self.covariance, dtype=float, copy=True)
-            cov.flags.writeable = False
-            object.__setattr__(self, "covariance", cov)
 
 
 def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord:
@@ -165,28 +158,23 @@ def invert_single(
 
     The direct method is the unbiased least-squares inverse followed by
     renormalization; ``constrained`` switches to an active-set solver
-    restricted to non-negative, normalized distributions.  For counted
-    clicks the direct estimate carries its counting covariance;
-    calibration uncertainty can be folded in with
-    :func:`propagate_errors`.
+    restricted to non-negative, normalized distributions.  Error bars of
+    the direct estimate, from counting noise and calibration uncertainty,
+    come from :func:`propagate_errors`.
     """
     _check_invertible(tmd)
-    rho, shots = _click_frequencies(tmd, clicks)
+    rho, _ = _click_frequencies(tmd, clicks)
     conv, loss = _stages(tmd)
     composite = conv @ loss
     condition = float(np.linalg.cond(composite))
     if constrained:
         probs = _constrained_solve(composite, rho)
-        covariance = None
         method = "constrained"
     else:
         probs, _ = _renormalized(_solve_stages(conv, loss, rho))
-        covariance = None
-        if shots is not None:
-            covariance = propagate_errors(tmd, rho, sigma_eta=0.0, shots=shots)
         method = "direct"
     residual = float(np.linalg.norm(composite @ probs - rho))
-    return ReconstructionResult(PhotonDistribution(probs), covariance, condition, residual, method)
+    return ReconstructionResult(PhotonDistribution(probs), condition, residual, method)
 
 
 def invert_joint(
@@ -228,9 +216,7 @@ def invert_joint(
         probs, _ = _renormalized(full)
         method = "direct"
     residual = float(np.linalg.norm(composite_s @ probs @ composite_i.T - rho))
-    return ReconstructionResult(
-        JointPhotonDistribution(probs), None, condition, residual, method
-    )
+    return ReconstructionResult(JointPhotonDistribution(probs), condition, residual, method)
 
 
 def _normalized_solution(tmd: TMDConfig, rho: np.ndarray) -> np.ndarray:

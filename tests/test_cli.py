@@ -154,6 +154,12 @@ class TestArgumentErrors:
         bad.write_text("{nope")
         assert run_cli("simulate", "--config", bad, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"setup": "A\xff"}')
+        assert run_cli("simulate", "--config", bad, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_config_field(self, tmp_path):
         config = write_config(tmp_path / "config.json", {
             "setup": "A",
@@ -224,6 +230,12 @@ class TestMetrics:
         code = run_cli("metrics", "--in", tmp_path / "absent.json", "--out", tmp_path / "o")
         assert code == EXIT_DATA
 
+    def test_non_utf8_document(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_bytes(b'{"distribution": [1.0], "note": "\xff"}')
+        assert run_cli("metrics", "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
+        assert "error:" in capsys.readouterr().err
+
     def test_document_without_distributions(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.json"
         write_json_doc(doc_path, {"format_version": 1, "note": "nothing here"})
@@ -246,6 +258,12 @@ class TestFit:
         doc = read_json_doc(out / "fit.json")
         assert doc["preferred"] == "poisson"
         assert doc["poisson"]["mean"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_non_utf8_document(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_bytes(b'{"distribution": [1.0], "note": "\xff"}')
+        assert run_cli("fit", "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
+        assert "error:" in capsys.readouterr().err
 
     def test_joint_document_falls_back_to_marginal(self, tmp_path):
         doc_path = tmp_path / "doc.json"

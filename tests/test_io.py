@@ -313,11 +313,19 @@ class TestShotFiles:
         write_shots(path, signal_masks=np.array([1, 0]))
         with pytest.raises(DataFormatError):
             ingest_shots(path)
+        # a declared bin count must fit a click mask
+        for bins in (-1, 0, 33, 40):
+            with pytest.raises(DomainError, match="MAX_BINS"):
+                ingest_shots(path, signal_bins=bins)
 
     def test_ingest_rejects_wide_mask(self, tmp_path):
         path = tmp_path / "shots.csv"
         write_shots(path, signal_masks=np.array([1, 16]))
         with pytest.raises(DataFormatError, match="line 3"):
+            ingest_shots(path, signal_bins=4)
+        # blank lines still count when the bad line is named
+        path.write_text("shot_id,signal_mask\n0,1\n\n\n1,16\n")
+        with pytest.raises(DataFormatError, match="line 5"):
             ingest_shots(path, signal_bins=4)
 
     def test_ingest_rejects_bad_header(self, tmp_path):
@@ -328,8 +336,15 @@ class TestShotFiles:
 
     def test_ingest_rejects_non_integer(self, tmp_path):
         path = tmp_path / "shots.csv"
-        path.write_text("shot_id,signal_mask\n0,1.5\n")
-        with pytest.raises(DataFormatError, match="line 2"):
+        for row in ("0,1.5", "0," + "9" * 23):
+            path.write_text(f"shot_id,signal_mask\n{row}\n")
+            with pytest.raises(DataFormatError, match="line 2"):
+                ingest_shots(path, signal_bins=4)
+
+    def test_ingest_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_bytes(b"shot_id,signal_mask\n0,\xff\n")
+        with pytest.raises(DataFormatError):
             ingest_shots(path, signal_bins=4)
 
     def test_ingest_rejects_empty(self, tmp_path):

@@ -16,7 +16,6 @@ from tmdkit import (
     marginals,
     run_collective_experiment,
     run_experiment,
-    sample_shot,
     simulate_klyshko,
 )
 
@@ -166,19 +165,31 @@ class TestRunExperiment:
         assert result.joint_clicks.total_shots == CHUNK_SIZE + 123
 
     def test_keep_shots_masks_match_histograms(self):
-        config = poisson_setup_d(shots=5_000)
-        result = run_experiment(config, keep_shots=True)
-        assert result.signal_masks is not None
-        assert result.signal_masks.shape == (5_000,)
-        assert not result.signal_masks.flags.writeable
-        clicks = np.bitwise_count(result.signal_masks)
-        np.testing.assert_array_equal(
-            np.bincount(clicks, minlength=5), result.signal_clicks.counts
+        # two pairs per shot, all detected: a mask never has more bits set
+        # than photons detected, and a threshold arm's mask is 0 or 1
+        fock_b = ExperimentConfig(
+            source=SourceModel.fock_pairs(2),
+            setup="B",
+            tmd_signal=TMDConfig.uniform(1, efficiency=1.0),
+            tmd_idler=TMDConfig.uniform(4, efficiency=1.0),
+            shots=5_000,
+            seed=5,
         )
-        clicks = np.bitwise_count(result.idler_masks)
-        np.testing.assert_array_equal(
-            np.bincount(clicks, minlength=5), result.idler_clicks.counts
-        )
+        for config in (poisson_setup_d(shots=5_000), fock_b):
+            result = run_experiment(config, keep_shots=True)
+            assert result.signal_masks is not None
+            assert result.signal_masks.shape == (5_000,)
+            assert not result.signal_masks.flags.writeable
+            for masks, tmd, clicks in (
+                (result.signal_masks, config.tmd_signal, result.signal_clicks),
+                (result.idler_masks, config.tmd_idler, result.idler_clicks),
+            ):
+                counted = np.bitwise_count(masks)
+                np.testing.assert_array_equal(
+                    np.bincount(counted, minlength=tmd.bins + 1), clicks.counts
+                )
+                assert masks.max() < 1 << tmd.bins
+        assert np.bitwise_count(result.idler_masks).max() <= 2  # the Fock run, last above
 
     def test_masks_omitted_by_default(self):
         result = run_experiment(poisson_setup_d(shots=1_000))
@@ -232,29 +243,6 @@ class TestRunCollectiveExperiment:
     def test_rejects_two_detector_layouts(self):
         with pytest.raises(DomainError):
             run_collective_experiment(poisson_setup_d(shots=10))
-
-
-class TestSampleShot:
-    def test_invariants_over_many_shots(self):
-        rng = np.random.default_rng(11)
-        source = SourceModel.poissonian_pairs(1.5, n_max=12)
-        tmd_s = TMDConfig.uniform(4, efficiency=0.7)
-        tmd_i = TMDConfig.uniform(1, efficiency=0.4)
-        for shot_id in range(200):
-            record = sample_shot(source, tmd_s, tmd_i, rng, shot_id=shot_id)
-            assert record.shot_id == shot_id
-            assert 0 <= record.signal_detected <= record.pairs
-            assert 0 <= record.idler_detected <= record.pairs
-            assert record.signal_clicks == int(record.signal_mask).bit_count()
-            assert record.signal_clicks <= record.signal_detected
-            assert record.idler_clicks in (0, 1)
-
-    def test_fock_source_is_deterministic_in_pairs(self):
-        rng = np.random.default_rng(5)
-        source = SourceModel.fock_pairs(2)
-        tmd = TMDConfig.uniform(2, efficiency=0.5)
-        for _ in range(50):
-            assert sample_shot(source, tmd, tmd, rng).pairs == 2
 
 
 class TestCalibrationCounters:

@@ -92,18 +92,6 @@ class TestInvertSingle:
         from_dist = invert_single(tmd, rho)
         from_array = invert_single(tmd, np.array(rho.probs))
         np.testing.assert_array_equal(from_dist.dist.probs, from_array.dist.probs)
-        assert from_dist.covariance is None
-        assert from_array.covariance is None
-
-    def test_counted_clicks_attach_covariance(self):
-        tmd = TMDConfig.uniform(4, efficiency=0.6)
-        counts = np.array([500, 300, 150, 40, 10])
-        clicks = ClickStatistics(counts, 1000)
-        result = invert_single(tmd, clicks)
-        assert result.covariance is not None
-        assert result.covariance.shape == (5, 5)
-        expected = propagate_errors(tmd, clicks, sigma_eta=0.0)
-        np.testing.assert_allclose(result.covariance, expected, atol=1e-15)
 
     def test_unnormalized_array_is_rescaled(self):
         tmd = TMDConfig.uniform(4, efficiency=0.6)
@@ -141,7 +129,6 @@ class TestInvertJoint:
         rho = joint_forward(tmd_s, tmd_i, joint)
         result = invert_joint(tmd_s, tmd_i, rho)
         np.testing.assert_allclose(result.dist.probs, joint.probs, atol=1e-9)
-        assert result.covariance is None
         assert result.residual < 1e-9
 
     def test_counted_clicks(self):
@@ -223,12 +210,3 @@ class TestPropagateErrors:
         rho = forward(tmd, thermal_dist(0.4, 4))
         with pytest.raises(ConditioningError):
             propagate_errors(tmd, rho, sigma_eta=0.01)
-
-
-class TestReconstructionResult:
-    def test_covariance_is_frozen(self):
-        tmd = TMDConfig.uniform(4, efficiency=0.6)
-        clicks = ClickStatistics(np.array([500, 300, 150, 40, 10]), 1000)
-        result = invert_single(tmd, clicks)
-        with pytest.raises(ValueError):
-            result.covariance[0, 0] = 1.0
