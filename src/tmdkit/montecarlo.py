@@ -89,11 +89,11 @@ class ExperimentResult:
 
     def signal_calibration(self) -> CalibrationRecord:
         """Klyshko estimate of the signal-arm efficiency."""
-        return klyshko_efficiency(self.coincidences, self.idler_singles)
+        return _klyshko(self.joint_clicks)[0]
 
     def idler_calibration(self) -> CalibrationRecord:
         """Klyshko estimate of the idler-arm efficiency."""
-        return klyshko_efficiency(self.coincidences, self.signal_singles)
+        return _klyshko(self.joint_clicks)[1]
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,22 @@ class CollectiveResult:
     config: ExperimentConfig
     clicks: ClickStatistics
     masks: np.ndarray | None = None
+
+
+def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
+    """Signal singles, idler singles and coincidences held by a joint click table."""
+    counts = joint.counts
+    return int(counts[1:, :].sum()), int(counts[:, 1:].sum()), int(counts[1:, 1:].sum())
+
+
+def _klyshko(joint: ClickStatistics) -> tuple[CalibrationRecord, CalibrationRecord]:
+    """Klyshko estimates of the (signal, idler) efficiencies from a joint click table."""
+    signal_singles, idler_singles, coincidences = _tallies(joint)
+    # each arm's efficiency is gated on the opposite arm's singles
+    return (
+        klyshko_efficiency(coincidences, idler_singles),
+        klyshko_efficiency(coincidences, signal_singles),
+    )
 
 
 def iter_shot_chunks(shots: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, int]]:
@@ -217,14 +233,16 @@ def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> Experi
         raise DomainError("setup C merges the arms; use run_collective_experiment")
     joint, kept = _simulate(config, keep_shots)
     signal_masks, idler_masks = kept if keep_shots else (None, None)
+    joint_clicks = ClickStatistics(joint, config.shots)
+    signal_singles, idler_singles, coincidences = _tallies(joint_clicks)
     return ExperimentResult(
         config=config,
         signal_clicks=ClickStatistics(joint.sum(axis=1), config.shots),
         idler_clicks=ClickStatistics(joint.sum(axis=0), config.shots),
-        joint_clicks=ClickStatistics(joint, config.shots),
-        signal_singles=int(joint[1:, :].sum()),
-        idler_singles=int(joint[:, 1:].sum()),
-        coincidences=int(joint[1:, 1:].sum()),
+        joint_clicks=joint_clicks,
+        signal_singles=signal_singles,
+        idler_singles=idler_singles,
+        coincidences=coincidences,
         signal_masks=signal_masks,
         idler_masks=idler_masks,
     )

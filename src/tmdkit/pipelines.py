@@ -29,10 +29,12 @@ from .montecarlo import (
     CollectiveResult,
     ExperimentConfig,
     ExperimentResult,
+    _klyshko,
+    _tallies,
     run_collective_experiment,
     run_experiment,
 )
-from .reconstruct import invert_joint, invert_single, klyshko_efficiency, propagate_errors
+from .reconstruct import invert_joint, invert_single, propagate_errors
 from .sources import SourceModel
 from .stats import (
     ClickStatistics,
@@ -121,12 +123,6 @@ def _click_tables(result: ExperimentResult | CollectiveResult) -> dict[str, Clic
     }
 
 
-def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
-    """Signal singles, idler singles and coincidences held by a joint click table."""
-    counts = joint.counts
-    return int(counts[1:, :].sum()), int(counts[:, 1:].sum()), int(counts[1:, 1:].sum())
-
-
 def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {
         "format_version": tmdio.FORMAT_VERSION,
@@ -147,12 +143,9 @@ def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]
 
 def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "calibration", "setup": config.setup}
-    signal_singles, idler_singles, coincidences = _tallies(tables["joint"])
-    # each arm's efficiency is gated on the opposite arm's singles
-    for arm, record, tmd in (
-        ("signal", klyshko_efficiency(coincidences, idler_singles), config.tmd_signal),
-        ("idler", klyshko_efficiency(coincidences, signal_singles), config.tmd_idler),
-    ):
+    records = _klyshko(tables["joint"])
+    tmds = (config.tmd_signal, config.tmd_idler)
+    for arm, record, tmd in zip(("signal", "idler"), records, tmds):
         doc[arm] = {
             "efficiency": record.eta,
             "uncertainty": record.eta_uncertainty,
