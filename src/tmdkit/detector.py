@@ -23,6 +23,20 @@ BIN_PROB_ATOL = 1e-12
 STOCHASTIC_ATOL = 1e-12
 
 
+def _checked_bin_probs(bin_probs: np.ndarray) -> np.ndarray:
+    """``bin_probs`` as a float vector, rejected unless it splits a photon over 1..MAX_BINS bins."""
+    probs = np.asarray(bin_probs, dtype=float)
+    if probs.ndim != 1 or probs.size < 1:
+        raise DomainError("bin_probs must be a non-empty 1-d vector")
+    if probs.size > MAX_BINS:
+        raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
+    if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
+        raise DomainError("bin probabilities must be finite and non-negative")
+    if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:
+        raise DomainError(f"bin probabilities sum to {float(probs.sum())!r}, expected 1")
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class TMDConfig:
     """Geometry and efficiency of one time-multiplexed detector.
@@ -38,15 +52,7 @@ class TMDConfig:
     n_max: int
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.bin_probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 1:
-            raise DomainError("bin_probs must be a non-empty 1-d vector")
-        if probs.size > MAX_BINS:
-            raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
-        if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
-            raise DomainError("bin probabilities must be finite and non-negative")
-        if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:
-            raise DomainError(f"bin probabilities sum to {float(probs.sum())!r}, expected 1")
+        probs = _checked_bin_probs(self.bin_probs)
         eff = float(self.efficiency)
         if not 0.0 <= eff <= 1.0:
             raise DomainError(f"efficiency {eff!r} outside [0, 1]")
@@ -104,12 +110,8 @@ def _column_stochastic(entries: np.ndarray) -> np.ndarray:
     return m
 
 
-def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
-    """Binomial loss stage: entry (n, m) is P(n of m photons survive)."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+def _binomial_stage(efficiency: float, n_max: int) -> np.ndarray:
+    """Unchecked binomial loss stage; entry (n, m) is P(n of m photons survive)."""
     # Pascal's rule, one column per added photon (lost with weight 1 - eta,
     # kept with weight eta): exact zeros for n > m, exact rows at eta 0 and 1
     entries = np.zeros((n_max + 1, n_max + 1))
@@ -117,7 +119,16 @@ def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     for m in range(1, n_max + 1):
         entries[:, m] = (1.0 - efficiency) * entries[:, m - 1]
         entries[1:, m] += efficiency * entries[:-1, m - 1]
-    return _column_stochastic(entries)
+    return entries
+
+
+def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
+    """Binomial loss stage: entry (n, m) is P(n of m photons survive)."""
+    if not 0.0 <= efficiency <= 1.0:
+        raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
+    if n_max < 0:
+        raise DomainError("n_max must be non-negative")
+    return _column_stochastic(_binomial_stage(efficiency, n_max))
 
 
 @lru_cache(maxsize=128)
@@ -135,7 +146,8 @@ def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray
         if p == 0.0:
             continue
         # stay[j, m] = P(j of m photons stay in the earlier bins)
-        stay = loss_matrix(seen / (seen + p), n_max)
+        # unchecked: convolution_matrix checks the finished matrix once
+        stay = _binomial_stage(seen / (seen + p), n_max)
         seen += p
         grown = entries * np.diag(stay)
         grown[1:] += entries[:-1] @ np.triu(stay, 1)
@@ -150,15 +162,7 @@ def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
     Built bin by bin from loss stages (see ``_convolution_entries``); the
     bin count is capped at MAX_BINS like every detector's.
     """
-    probs = np.asarray(bin_probs, dtype=float)
-    if probs.ndim != 1 or probs.size < 1:
-        raise DomainError("bin_probs must be a non-empty 1-d vector")
-    if probs.size > MAX_BINS:
-        raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
-    if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
-        raise DomainError("bin probabilities must be finite and non-negative")
-    if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:
-        raise DomainError(f"bin probabilities sum to {probs.sum()!r}, expected 1")
+    probs = _checked_bin_probs(bin_probs)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     entries = _convolution_entries(tuple(probs.tolist()), int(n_max))
@@ -172,34 +176,38 @@ def detector_response(tmd: TMDConfig) -> np.ndarray:
     return _column_stochastic(conv @ loss)
 
 
-def _padded(probs: np.ndarray, n_max: int, what: str) -> np.ndarray:
-    if probs.size - 1 > n_max:
-        raise DomainError(f"{what} extends to n={probs.size - 1}, beyond detector n_max={n_max}")
-    if probs.size - 1 == n_max:
+def _padded(probs: np.ndarray, tmds: tuple[TMDConfig, ...], axes: tuple[str, ...]) -> np.ndarray:
+    """``probs`` zero-padded to each detector's n_max; ``axes`` names each axis in errors."""
+    shape = tuple(tmd.n_max + 1 for tmd in tmds)
+    for name, have, want in zip(axes, probs.shape, shape):
+        if have > want:
+            raise DomainError(f"{name} extends to n={have - 1}, beyond detector n_max={want - 1}")
+    if probs.shape == shape:
         return probs
-    return np.pad(probs, (0, n_max - (probs.size - 1)))
+    return np.pad(probs, [(0, want - have) for have, want in zip(probs.shape, shape)])
+
+
+def _along_axes(stages: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
+    """Apply one detector stage per axis: the first to rows, a second to columns."""
+    out = stages[0] @ probs
+    if len(stages) > 1:
+        out = out @ stages[1].T
+    return out
 
 
 def forward(tmd: TMDConfig, dist: PhotonDistribution) -> PhotonDistribution:
     """Click-number distribution produced by a photon-number distribution."""
-    p = _padded(dist.probs, tmd.n_max, "input distribution")
-    response = detector_response(tmd)
-    return PhotonDistribution(response @ p)
+    p = _padded(dist.probs, (tmd,), ("input distribution",))
+    return PhotonDistribution(_along_axes([detector_response(tmd)], p))
 
 
 def joint_forward(
     tmd_signal: TMDConfig, tmd_idler: TMDConfig, joint: JointPhotonDistribution
 ) -> JointPhotonDistribution:
     """Joint click distribution of two detectors viewing a two-arm state."""
-    if joint.n_max_signal > tmd_signal.n_max:
-        raise DomainError("joint signal axis extends beyond the signal detector n_max")
-    if joint.n_max_idler > tmd_idler.n_max:
-        raise DomainError("joint idler axis extends beyond the idler detector n_max")
-    p = np.zeros((tmd_signal.n_max + 1, tmd_idler.n_max + 1))
-    p[: joint.probs.shape[0], : joint.probs.shape[1]] = joint.probs
-    a_signal = detector_response(tmd_signal)
-    a_idler = detector_response(tmd_idler)
-    return JointPhotonDistribution(a_signal @ p @ a_idler.T)
+    tmds = (tmd_signal, tmd_idler)
+    p = _padded(joint.probs, tmds, ("joint signal axis", "joint idler axis"))
+    return JointPhotonDistribution(_along_axes([detector_response(tmd) for tmd in tmds], p))
 
 
 def collective_forward(
@@ -218,7 +226,7 @@ def collective_forward(
     """
     loss_signal = loss_matrix(eta_signal, joint.n_max_signal)
     loss_idler = loss_matrix(eta_idler, joint.n_max_idler)
-    surviving = JointPhotonDistribution(loss_signal @ joint.probs @ loss_idler.T)
+    surviving = JointPhotonDistribution(_along_axes([loss_signal, loss_idler], joint.probs))
     total = combine_collective(surviving)
     conv = convolution_matrix(tmd.bin_probs, total.n_max)
     return PhotonDistribution(conv @ total.probs)

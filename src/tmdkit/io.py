@@ -117,7 +117,7 @@ def read_json_doc(path: str | Path) -> dict:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
@@ -269,7 +269,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_doc(doc)
 
@@ -325,12 +325,10 @@ def write_shots(
     """
     columns = []
     header = ["shot_id"]
-    if signal_masks is not None:
-        columns.append(np.asarray(signal_masks))
-        header.append("signal_mask")
-    if idler_masks is not None:
-        columns.append(np.asarray(idler_masks))
-        header.append("idler_mask")
+    for name, masks in (("signal_mask", signal_masks), ("idler_mask", idler_masks)):
+        if masks is not None:
+            columns.append(np.asarray(masks))
+            header.append(name)
     if not columns:
         raise DomainError("write_shots needs at least one arm")
     length = columns[0].size
@@ -423,48 +421,39 @@ def _file_line(lines: list[str], row: int) -> int:
     return numbers[row]
 
 
+def _write_table(path: str | Path, header: str, *columns: np.ndarray) -> None:
+    """CSV with one row per array index: the index, then each column's entry there."""
+    values = [np.ravel(column).tolist() for column in columns]
+    lines = [header]
+    for row, index in enumerate(np.ndindex(np.shape(columns[0]))):
+        lines.append(",".join([*map(str, index), *(repr(value[row]) for value in values)]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_distribution_csv(
     path: str | Path,
     dist: PhotonDistribution | JointPhotonDistribution,
     sigma: np.ndarray | None = None,
 ) -> None:
     """Tabulate a distribution for external plotting."""
-    lines = []
-    if isinstance(dist, PhotonDistribution):
-        if sigma is not None and np.asarray(sigma).shape != dist.probs.shape:
-            raise DomainError("sigma length must match the distribution")
-        lines.append("n,probability,sigma" if sigma is not None else "n,probability")
-        for n, p in enumerate(dist.probs):
-            if sigma is not None:
-                lines.append(f"{n},{float(p)!r},{float(sigma[n])!r}")
-            else:
-                lines.append(f"{n},{float(p)!r}")
-    elif isinstance(dist, JointPhotonDistribution):
+    if isinstance(dist, JointPhotonDistribution):
         if sigma is not None:
             raise DomainError("joint tables do not carry uncertainties")
-        lines.append("signal_n,idler_n,probability")
-        for n in range(dist.probs.shape[0]):
-            for m in range(dist.probs.shape[1]):
-                lines.append(f"{n},{m},{float(dist.probs[n, m])!r}")
-    else:
+        _write_table(path, "signal_n,idler_n,probability", dist.probs)
+    elif not isinstance(dist, PhotonDistribution):
         raise DomainError("expected a photon distribution")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    elif sigma is None:
+        _write_table(path, "n,probability", dist.probs)
+    elif np.shape(sigma) != dist.probs.shape:
+        raise DomainError("sigma length must match the distribution")
+    else:
+        _write_table(path, "n,probability,sigma", dist.probs, np.asarray(sigma, dtype=float))
 
 
 def write_clicks_csv(path: str | Path, clicks: ClickStatistics) -> None:
     """Tabulate a click histogram for external plotting."""
-    lines = []
-    if clicks.counts.ndim == 1:
-        lines.append("clicks,count,frequency")
-        for c, k in enumerate(clicks.counts):
-            lines.append(f"{c},{int(k)},{int(k) / clicks.total_shots!r}")
-    else:
-        lines.append("signal_clicks,idler_clicks,count,frequency")
-        for s in range(clicks.counts.shape[0]):
-            for i in range(clicks.counts.shape[1]):
-                k = int(clicks.counts[s, i])
-                lines.append(f"{s},{i},{k},{k / clicks.total_shots!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    index = "clicks" if clicks.counts.ndim == 1 else "signal_clicks,idler_clicks"
+    _write_table(path, f"{index},count,frequency", clicks.counts, clicks.frequencies)
 
 
 @dataclass(frozen=True)

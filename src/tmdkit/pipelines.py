@@ -34,7 +34,7 @@ from .montecarlo import (
     run_collective_experiment,
     run_experiment,
 )
-from .reconstruct import invert_joint, invert_single, propagate_errors
+from .reconstruct import ReconstructionResult, invert_joint, invert_single, propagate_errors
 from .sources import SourceModel
 from .stats import (
     ClickStatistics,
@@ -156,19 +156,21 @@ def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics
     return doc
 
 
-def _arm_doc(
-    tmd: TMDConfig, clicks: ClickStatistics, sigma_eta: float, constrained: bool
-) -> dict:
-    recon = invert_single(tmd, clicks, constrained=constrained)
-    doc = {
+def _result_doc(recon: ReconstructionResult) -> dict:
+    return {
         "probabilities": recon.dist.probs,
-        "mean": recon.dist.mean,
         "is_physical": recon.dist.is_physical,
         "condition_number": recon.condition_number,
         "residual": recon.residual,
         "method": recon.method,
-        "efficiency": tmd.efficiency,
     }
+
+
+def _arm_doc(
+    tmd: TMDConfig, clicks: ClickStatistics, sigma_eta: float, constrained: bool
+) -> dict:
+    recon = invert_single(tmd, clicks, constrained=constrained)
+    doc = {**_result_doc(recon), "mean": recon.dist.mean, "efficiency": tmd.efficiency}
     if not constrained:
         cov = propagate_errors(tmd, clicks, sigma_eta)
         doc["sigma"] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -205,19 +207,12 @@ def _reconstruction_doc(
         return doc
     if config.setup == "D":
         joint = invert_joint(config.tmd_signal, config.tmd_idler, tables["joint"], constrained)
-        doc["joint"] = {
-            "probabilities": joint.dist.probs,
-            "is_physical": joint.dist.is_physical,
-            "condition_number": joint.condition_number,
-            "residual": joint.residual,
-            "method": joint.method,
-        }
-    doc["signal"] = _arm_doc(
-        config.tmd_signal, tables["signal"], config.sigma_eta_signal, constrained
-    )
-    doc["idler"] = _arm_doc(
-        config.tmd_idler, tables["idler"], config.sigma_eta_idler, constrained
-    )
+        doc["joint"] = _result_doc(joint)
+    for arm, tmd, sigma_eta in (
+        ("signal", config.tmd_signal, config.sigma_eta_signal),
+        ("idler", config.tmd_idler, config.sigma_eta_idler),
+    ):
+        doc[arm] = _arm_doc(tmd, tables[arm], sigma_eta, constrained)
     return doc
 
 
@@ -260,29 +255,15 @@ def _write(out_dir: Path, name: str, doc: dict, paths: list[str]) -> dict:
     return doc
 
 
-def _write_click_tables(
-    out_dir: Path, tables: dict[str, ClickStatistics], paths: list[str]
-) -> None:
-    for arm, clicks in tables.items():
-        path = out_dir / f"clicks_{arm}.csv"
-        tmdio.write_clicks_csv(path, clicks)
-        paths.append(str(path))
-
-
 def _write_distribution_tables(out_dir: Path, recon_doc: dict, paths: list[str]) -> None:
-    for arm in ("signal", "idler", "collective"):
-        if arm not in recon_doc:
+    for arm in ("signal", "idler", "collective", "joint"):
+        kind = JointPhotonDistribution if arm == "joint" else PhotonDistribution
+        dist = _extract(recon_doc, (arm,), kind)
+        if dist is None:
             continue
-        fragment = recon_doc[arm]
-        dist = PhotonDistribution(np.asarray(fragment["probabilities"]))
-        sigma = fragment.get("sigma")
+        sigma = recon_doc[arm].get("sigma")
         path = out_dir / f"distribution_{arm}.csv"
         tmdio.write_distribution_csv(path, dist, None if sigma is None else np.asarray(sigma))
-        paths.append(str(path))
-    if "joint" in recon_doc:
-        joint = JointPhotonDistribution(np.asarray(recon_doc["joint"]["probabilities"]))
-        path = out_dir / "distribution_joint.csv"
-        tmdio.write_distribution_csv(path, joint)
         paths.append(str(path))
 
 
@@ -319,7 +300,10 @@ def _chain(
     docs: dict[str, dict] = {}
     if "simulate" in stages:
         docs["simulate"] = _write(out_dir, "simulation.json", _simulation_doc(config, tables), paths)
-        _write_click_tables(out_dir, tables, paths)
+        for arm, clicks in tables.items():
+            path = out_dir / f"clicks_{arm}.csv"
+            tmdio.write_clicks_csv(path, clicks)
+            paths.append(str(path))
         if emit_shots:
             _emit_shots(out_dir, result, paths)
     if "calibrate" in stages:
@@ -368,28 +352,25 @@ def run_stage(
     return RunOutput(docs[stage], tuple(paths))
 
 
-def _extract_joint(doc: dict) -> JointPhotonDistribution | None:
-    fragment = doc.get("joint")
-    if fragment is None:
-        return None
-    probs = fragment.get("probabilities") if isinstance(fragment, dict) else fragment
-    try:
-        return JointPhotonDistribution(np.asarray(probs, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"joint entry is not a probability matrix: {exc}") from exc
-
-
-def _extract_vector(doc: dict) -> PhotonDistribution | None:
-    for key in ("distribution", "collective", "signal", "idler"):
+def _extract(
+    doc: dict, keys: tuple[str, ...], kind: type
+) -> PhotonDistribution | JointPhotonDistribution | None:
+    """First of ``keys`` in ``doc`` (bare or under ``probabilities``) as a ``kind``, or None."""
+    noun = "matrix" if kind is JointPhotonDistribution else "vector"
+    for key in keys:
         fragment = doc.get(key)
         if fragment is None:
             continue
         probs = fragment.get("probabilities") if isinstance(fragment, dict) else fragment
         try:
-            return PhotonDistribution(np.asarray(probs, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"{key} entry is not a probability vector: {exc}") from exc
+            return kind(np.asarray(probs, dtype=float))
+        except (TypeError, ValueError, DomainError) as exc:
+            raise DataFormatError(f"{key} entry is not a probability {noun}: {exc}") from exc
     return None
+
+
+# Keys a stored document may carry a single distribution vector under, in order of preference.
+_VECTOR_KEYS = ("distribution", "collective", "signal", "idler")
 
 
 def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
@@ -401,8 +382,8 @@ def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     out_dir = Path(out_dir)
     source_doc = tmdio.read_json_doc(in_path)
     doc: dict = {"format_version": tmdio.FORMAT_VERSION, "kind": "metrics"}
-    joint = _extract_joint(source_doc)
-    vector = _extract_vector(source_doc)
+    joint = _extract(source_doc, ("joint",), JointPhotonDistribution)
+    vector = _extract(source_doc, _VECTOR_KEYS, PhotonDistribution)
     if joint is not None:
         doc["joint"] = _joint_metrics(joint)
     if vector is not None:
@@ -418,9 +399,9 @@ def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     """Fit the one-parameter families to a stored distribution document."""
     out_dir = Path(out_dir)
     source_doc = tmdio.read_json_doc(in_path)
-    vector = _extract_vector(source_doc)
+    vector = _extract(source_doc, _VECTOR_KEYS, PhotonDistribution)
     if vector is None:
-        joint = _extract_joint(source_doc)
+        joint = _extract(source_doc, ("joint",), JointPhotonDistribution)
         if joint is None:
             raise DataFormatError("document carries no distribution vector to fit")
         vector = marginals(joint)[0]

@@ -7,16 +7,21 @@ triangular and are solved by back-substitution, which stays accurate
 even when the composite condition number is astronomically large at low
 efficiency.  An optional non-negativity-constrained solver is available
 for users who prefer a physical estimate over an unbiased one.
+
+A joint signal-idler click matrix is the same problem with one detector
+per axis (signal rows, idler columns), so single-arm and joint data go
+through one inverse; the two arms may differ in bins and efficiency.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import TMDConfig, convolution_matrix, loss_matrix
+from .detector import TMDConfig, _along_axes, convolution_matrix, loss_matrix
 from .errors import (
     ConditioningError,
     DegenerateConditionError,
@@ -74,7 +79,8 @@ def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord
     return CalibrationRecord(eta, uncertainty, float(coincidences), float(singles))
 
 
-def _check_invertible(tmd: TMDConfig) -> None:
+def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation and loss stages of a detector the inversion can use."""
     if tmd.n_max > tmd.bins:
         raise TruncationError(
             f"n_max={tmd.n_max} exceeds the {tmd.bins}-bin click range; "
@@ -88,9 +94,6 @@ def _check_invertible(tmd: TMDConfig) -> None:
             f"only {effective_bins} bins have non-zero probability; "
             f"rank is insufficient for n_max={tmd.n_max}"
         )
-
-
-def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
     conv = convolution_matrix(tmd.bin_probs, tmd.n_max)
     loss = loss_matrix(tmd.efficiency, tmd.n_max)
     return conv, loss
@@ -104,6 +107,15 @@ def _solve_stages(conv: np.ndarray, loss: np.ndarray, rho: np.ndarray) -> np.nda
         return np.linalg.solve(loss, np.linalg.solve(conv, rho))
     solution, *_ = np.linalg.lstsq(conv @ loss, rho, rcond=None)
     return solution
+
+
+def _direct(stages: list, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares inverse along each detector axis, renormalized, with the raw mass."""
+    for conv, loss in stages:
+        # solve along the leading axis, then bring the next one to the front;
+        # two transposes restore the order and a vector's transpose is itself
+        rho = _solve_stages(conv, loss, rho).T
+    return _renormalized(rho)
 
 
 def _constrained_solve(composite: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -120,27 +132,22 @@ def _constrained_solve(composite: np.ndarray, rho: np.ndarray) -> np.ndarray:
 ClickInput = ClickStatistics | PhotonDistribution | np.ndarray
 
 
-def _click_frequencies(tmd: TMDConfig, clicks: ClickInput) -> tuple[np.ndarray, int | None]:
-    """Click frequency vector plus the shot count when one exists.
+def _click_frequencies(tmds: tuple[TMDConfig, ...], clicks) -> tuple[np.ndarray, int | None]:
+    """Click frequencies, one axis per detector, plus the shot count when one exists.
 
     Exact click distributions (from the forward model or the
     infinite-data limit) carry no shot count and hence no counting
     noise.
     """
     if isinstance(clicks, ClickStatistics):
-        rho = clicks.frequencies
-        shots = clicks.total_shots
-    elif isinstance(clicks, PhotonDistribution):
+        rho, shots = clicks.frequencies, clicks.total_shots
+    elif isinstance(clicks, (PhotonDistribution, JointPhotonDistribution)):
         rho, shots = clicks.probs, None
     else:
         rho, shots = np.asarray(clicks, dtype=float), None
-    if rho.ndim != 1:
-        raise DomainError("expected a 1-d click histogram")
-    if rho.size != tmd.bins + 1:
-        raise DomainError(
-            f"click histogram has {rho.size} entries, "
-            f"expected {tmd.bins + 1} for a {tmd.bins}-bin detector"
-        )
+    expected = tuple(tmd.bins + 1 for tmd in tmds)
+    if rho.shape != expected:
+        raise DomainError(f"click array shape {rho.shape} does not match {expected}")
     return rho, shots
 
 
@@ -149,6 +156,24 @@ def _renormalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
     if total <= 0.0:
         raise ConditioningError(f"reconstructed probability mass {total!r} is non-positive")
     return raw / total, total
+
+
+def _invert(tmds: tuple[TMDConfig, ...], clicks, constrained: bool) -> ReconstructionResult:
+    """Invert one detector per axis: a vector for one arm, signal rows by idler columns for two."""
+    stages = [_stages(tmd) for tmd in tmds]
+    rho, _ = _click_frequencies(tmds, clicks)
+    composites = [conv @ loss for conv, loss in stages]
+    condition = math.prod(float(np.linalg.cond(composite)) for composite in composites)
+    if constrained:
+        # the composite of independent axes is their Kronecker product
+        probs = _constrained_solve(functools.reduce(np.kron, composites), rho.ravel())
+        probs = probs.reshape(tuple(tmd.n_max + 1 for tmd in tmds))
+    else:
+        probs, _ = _direct(stages, rho)
+    residual = float(np.linalg.norm(_along_axes(composites, probs) - rho))
+    dist_type = PhotonDistribution if probs.ndim == 1 else JointPhotonDistribution
+    method = "constrained" if constrained else "direct"
+    return ReconstructionResult(dist_type(probs), condition, residual, method)
 
 
 def invert_single(
@@ -162,19 +187,7 @@ def invert_single(
     the direct estimate, from counting noise and calibration uncertainty,
     come from :func:`propagate_errors`.
     """
-    _check_invertible(tmd)
-    rho, _ = _click_frequencies(tmd, clicks)
-    conv, loss = _stages(tmd)
-    composite = conv @ loss
-    condition = float(np.linalg.cond(composite))
-    if constrained:
-        probs = _constrained_solve(composite, rho)
-        method = "constrained"
-    else:
-        probs, _ = _renormalized(_solve_stages(conv, loss, rho))
-        method = "direct"
-    residual = float(np.linalg.norm(composite @ probs - rho))
-    return ReconstructionResult(PhotonDistribution(probs), condition, residual, method)
+    return _invert((tmd,), clicks, constrained)
 
 
 def invert_joint(
@@ -190,39 +203,7 @@ def invert_joint(
     the marginals (propagate each arm separately); a full joint
     covariance would grow quadratically in the matrix size.
     """
-    _check_invertible(tmd_signal)
-    _check_invertible(tmd_idler)
-    if isinstance(clicks, ClickStatistics):
-        rho = clicks.frequencies
-    elif isinstance(clicks, JointPhotonDistribution):
-        rho = clicks.probs
-    else:
-        rho = np.asarray(clicks, dtype=float)
-    expected = (tmd_signal.bins + 1, tmd_idler.bins + 1)
-    if rho.ndim != 2 or rho.shape != expected:
-        raise DomainError(f"click matrix shape {rho.shape} does not match {expected}")
-    conv_s, loss_s = _stages(tmd_signal)
-    conv_i, loss_i = _stages(tmd_idler)
-    composite_s = conv_s @ loss_s
-    composite_i = conv_i @ loss_i
-    condition = float(np.linalg.cond(composite_s) * np.linalg.cond(composite_i))
-    if constrained:
-        probs = _constrained_solve(np.kron(composite_s, composite_i), rho.ravel())
-        probs = probs.reshape(tmd_signal.n_max + 1, tmd_idler.n_max + 1)
-        method = "constrained"
-    else:
-        half = _solve_stages(conv_s, loss_s, rho)
-        full = _solve_stages(conv_i, loss_i, half.T).T
-        probs, _ = _renormalized(full)
-        method = "direct"
-    residual = float(np.linalg.norm(composite_s @ probs @ composite_i.T - rho))
-    return ReconstructionResult(JointPhotonDistribution(probs), condition, residual, method)
-
-
-def _normalized_solution(tmd: TMDConfig, rho: np.ndarray) -> np.ndarray:
-    conv, loss = _stages(tmd)
-    probs, _ = _renormalized(_solve_stages(conv, loss, rho))
-    return probs
+    return _invert((tmd_signal, tmd_idler), clicks, constrained)
 
 
 def propagate_errors(
@@ -253,14 +234,12 @@ def propagate_errors(
     """
     if sigma_eta < 0.0 or not math.isfinite(sigma_eta):
         raise DomainError("sigma_eta must be finite and non-negative")
-    _check_invertible(tmd)
-    rho, counted = _click_frequencies(tmd, clicks)
+    conv, loss = _stages(tmd)
+    rho, counted = _click_frequencies((tmd,), clicks)
     if shots is None:
         shots = counted
 
-    conv, loss = _stages(tmd)
-    raw = _solve_stages(conv, loss, rho)
-    probs, total = _renormalized(raw)
+    probs, total = _direct([(conv, loss)], rho)
     size = probs.size
     covariance = np.zeros((size, size))
 
@@ -280,8 +259,8 @@ def propagate_errors(
         lo = max(0.0, eta - EFFICIENCY_FD_STEP)
         if lo <= 0.0:
             raise ConditioningError("efficiency too small for a finite-difference sensitivity")
-        p_hi = _normalized_solution(tmd.with_efficiency(hi), rho)
-        p_lo = _normalized_solution(tmd.with_efficiency(lo), rho)
+        p_hi, _ = _direct([_stages(tmd.with_efficiency(hi))], rho)
+        p_lo, _ = _direct([_stages(tmd.with_efficiency(lo))], rho)
         sensitivity = (p_hi - p_lo) / (hi - lo)
         covariance += sigma_eta**2 * np.outer(sensitivity, sensitivity)
 

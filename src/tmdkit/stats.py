@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,31 +32,44 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_normalized(probs: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(probs)):
-        raise DomainError(f"{what} contains non-finite entries")
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
-        raise DomainError(f"{what} sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
-
-
 @dataclass(frozen=True, eq=False)
-class PhotonDistribution:
-    """Probability vector over photon (or click) number 0..n_max."""
+class _Distribution:
+    """Read-only, normalized probability array with one photon-number axis per arm."""
 
     probs: np.ndarray
 
+    # axis count and the wording of validation errors, set by each subclass
+    _ndim: ClassVar[int]
+    _what: ClassVar[str]
+
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise DomainError("distribution must be a non-empty 1-d vector")
-        _check_normalized(probs, "distribution")
+        if probs.ndim != self._ndim or probs.size == 0:
+            form = "vector" if self._ndim == 1 else "matrix"
+            raise DomainError(f"{self._what} must be a non-empty {self._ndim}-d {form}")
+        if not np.all(np.isfinite(probs)):
+            raise DomainError(f"{self._what} contains non-finite entries")
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORMALIZATION_ATOL:
+            raise DomainError(
+                f"{self._what} sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}"
+            )
         object.__setattr__(self, "probs", _freeze(probs))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhotonDistribution):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return bool(np.array_equal(self.probs, other.probs))
+
+    @property
+    def is_physical(self) -> bool:
+        return bool(self.probs.min() >= -NEGATIVITY_TOL)
+
+
+class PhotonDistribution(_Distribution):
+    """Probability vector over photon (or click) number 0..n_max."""
+
+    _ndim, _what = 1, "distribution"
 
     @property
     def n_max(self) -> int:
@@ -65,28 +79,11 @@ class PhotonDistribution:
     def mean(self) -> float:
         return moment(self, 1)
 
-    @property
-    def is_physical(self) -> bool:
-        return bool(self.probs.min() >= -NEGATIVITY_TOL)
 
-
-@dataclass(frozen=True, eq=False)
-class JointPhotonDistribution:
+class JointPhotonDistribution(_Distribution):
     """Joint probability matrix, axis 0 = signal number, axis 1 = idler number."""
 
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2 or probs.size == 0:
-            raise DomainError("joint distribution must be a non-empty 2-d matrix")
-        _check_normalized(probs, "joint distribution")
-        object.__setattr__(self, "probs", _freeze(probs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JointPhotonDistribution):
-            return NotImplemented
-        return bool(np.array_equal(self.probs, other.probs))
+    _ndim, _what = 2, "joint distribution"
 
     @property
     def n_max_signal(self) -> int:
@@ -95,10 +92,6 @@ class JointPhotonDistribution:
     @property
     def n_max_idler(self) -> int:
         return self.probs.shape[1] - 1
-
-    @property
-    def is_physical(self) -> bool:
-        return bool(self.probs.min() >= -NEGATIVITY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +185,11 @@ def conditional(
     """
     if herald_arm not in ("signal", "idler"):
         raise DomainError(f"herald_arm must be 'signal' or 'idler', got {herald_arm!r}")
-    axis_len = joint.probs.shape[1] if herald_arm == "idler" else joint.probs.shape[0]
-    if not 0 <= herald_value < axis_len:
-        raise DomainError(f"herald value {herald_value} outside 0..{axis_len - 1}")
-    if herald_arm == "idler":
-        slice_ = joint.probs[:, herald_value]
-    else:
-        slice_ = joint.probs[herald_value, :]
+    # the herald's axis first
+    probs = joint.probs if herald_arm == "signal" else joint.probs.T
+    if not 0 <= herald_value < probs.shape[0]:
+        raise DomainError(f"herald value {herald_value} outside 0..{probs.shape[0] - 1}")
+    slice_ = probs[herald_value]
     total = float(slice_.sum())
     if total <= 0.0:
         raise DegenerateConditionError(

@@ -197,6 +197,12 @@ class TestArgumentErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        assert run_cli("simulate", "--config", bad, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--version")
@@ -274,6 +280,26 @@ class TestFit:
         out = tmp_path / "out"
         assert run_cli("fit", "--in", doc_path, "--out", out) == EXIT_OK
         assert (out / "fit.json").exists()
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("command", ["metrics", "fit"])
+    @pytest.mark.parametrize("key, probs", [
+        ("distribution", [0.25, 0.25]),
+        ("joint", [[0.6, 0.0], [0.0, 0.5]]),
+    ], ids=["vector", "joint"])
+    def test_unnormalized_distribution(self, tmp_path, capsys, command, key, probs):
+        doc_path = tmp_path / "doc.json"
+        write_json_doc(doc_path, {"format_version": 1, key: probs})
+        assert run_cli(command, "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
+        assert f"error: {key} entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "fit"])
+    def test_deeply_nested_document(self, tmp_path, capsys, command):
+        doc_path = tmp_path / "nested.json"
+        doc_path.write_text("[" * 200_000 + "]" * 200_000)
+        assert run_cli(command, "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReplicate:

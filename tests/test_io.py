@@ -400,6 +400,13 @@ class TestTableFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "signal_clicks,idler_clicks,count,frequency"
         assert lines[1] == "0,0,2,0.5"
+        # signal rows, idler columns, idler index running fastest
+        write_clicks_csv(path, ClickStatistics(np.arange(12).reshape(3, 4), 66))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 13
+        assert lines[2] == f"0,1,1,{1 / 66!r}"
+        assert lines[5] == f"1,0,4,{4 / 66!r}"
+        assert lines[12] == f"2,3,11,{11 / 66!r}"
 
 
 class TestManifest:

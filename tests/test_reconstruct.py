@@ -10,6 +10,7 @@ from tmdkit import (
     ConditioningError,
     DegenerateConditionError,
     DomainError,
+    JointPhotonDistribution,
     PhotonDistribution,
     TMDConfig,
     TruncationError,
@@ -151,6 +152,22 @@ class TestInvertJoint:
         tmd = TMDConfig.uniform(4, efficiency=0.5)
         with pytest.raises(DomainError):
             invert_joint(tmd, tmd, np.ones((5, 4)) / 20.0)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_unequal_arms_factor_into_single_arm_inversions(self, constrained):
+        # signal rows, idler columns: a product state on detectors that differ
+        # in bins and efficiency must invert to the product of the marginals
+        tmd_s = TMDConfig.uniform(3, efficiency=0.7)
+        tmd_i = TMDConfig.uniform(2, efficiency=0.4)
+        p_s = PhotonDistribution([0.5, 0.3, 0.15, 0.05])
+        p_i = PhotonDistribution([0.6, 0.3, 0.1])
+        joint = JointPhotonDistribution(np.outer(p_s.probs, p_i.probs))
+        result = invert_joint(tmd_s, tmd_i, joint_forward(tmd_s, tmd_i, joint), constrained)
+        single_s = invert_single(tmd_s, forward(tmd_s, p_s), constrained)
+        single_i = invert_single(tmd_i, forward(tmd_i, p_i), constrained)
+        assert result.dist.probs.shape == (4, 3)
+        expected = np.outer(single_s.dist.probs, single_i.dist.probs)
+        np.testing.assert_allclose(result.dist.probs, expected, atol=1e-6 if constrained else 1e-12)
 
 
 class TestPropagateErrors:
