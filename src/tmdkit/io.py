@@ -8,10 +8,12 @@ and non-finite floats are rendered as the strings "inf"/"-inf".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -313,6 +315,9 @@ def serialize_config(config: ExperimentConfig) -> dict:
     }
 
 
+_SHOT_BLOCK_ROWS = 8192
+
+
 def write_shots(
     path: str | Path,
     signal_masks: np.ndarray | None = None,
@@ -335,8 +340,13 @@ def write_shots(
     if any(col.ndim != 1 or col.size != length for col in columns):
         raise DomainError("mask arrays must be 1-d and equally long")
     table = np.column_stack([np.arange(length, dtype=np.int64)] + [c.astype(np.int64) for c in columns])
+    # the "%d" rows np.savetxt writes, formatted a block of rows per call
+    row = ",".join(["%d"] * len(header)) + "\n"
     with _atomic_open(path) as handle:
-        np.savetxt(handle, table, fmt="%d", delimiter=",", header=",".join(header), comments="")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, length, _SHOT_BLOCK_ROWS):
+            block = table[start : start + _SHOT_BLOCK_ROWS]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def ingest_shots(
@@ -356,25 +366,100 @@ def ingest_shots(
                 f"{arm}_bins must be an integer in [1, MAX_BINS={MAX_BINS}], got {bins!r}"
             )
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, expected a header")
-    header = lines[0].strip()
+    declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
+    fields, parsed = _parse_shots(path, declared) or _parse_shot_lines(path, declared)
+
+    # a joint histogram is indexed (signal, idler) whatever the column order
+    masks, shape = [], []
+    for name, bins in declared.items():
+        if name not in fields:
+            continue
+        column = parsed[:, fields.index(name)]
+        bad = np.flatnonzero((column < 0) | (column >= (1 << bins)))
+        if bad.size:
+            row = int(bad[0])
+            raise DataFormatError(
+                f"{path} line {_file_line(path, row)}: mask {int(column[row])} "
+                f"does not fit {bins} bins"
+            )
+        masks.append(column)
+        shape.append(bins + 1)
+    counts = _click_histogram(tuple(masks), tuple(shape)).reshape(shape)
+    return ClickStatistics(counts, len(parsed))
+
+
+def _shot_fields(path: Path, header: str, declared: dict[str, int | None]) -> list[str]:
+    """Column names of a shot file header, each an arm with declared bins."""
     fields = header.split(",")
     if fields[0] != "shot_id" or len(fields) < 2 or not set(fields[1:]) <= {
         "signal_mask",
         "idler_mask",
     } or len(set(fields)) != len(fields):
         raise DataFormatError(f"{path}: unrecognized header {header!r}")
-    declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
     for name in fields[1:]:
         if declared[name] is None:
             argument = name.replace("mask", "bins")
             raise DataFormatError(f"{name} column present but {argument} not declared")
+    return fields
+
+
+def _parse_shots(
+    path: Path, declared: dict[str, int | None]
+) -> tuple[list[str], np.ndarray] | None:
+    """Header fields and int64 rows of a well-formed shot file in one numpy parse.
+
+    Returns None for anything ``np.loadtxt`` refuses or warns about, so
+    that ``_parse_shot_lines`` accepts or rejects the file.  The rows reach
+    ``loadtxt`` cut by ``str.splitlines``, the line loop's rule: ``loadtxt``
+    itself ends lines only at newlines and strips separators such as
+    "\\x1c" from field edges, so it would read "0\\x1c,1" as one row.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = _line_blocks(handle)
+            first = next(blocks, [])
+            if not first:
+                return None
+            fields = _shot_fields(path, first[0].strip(), declared)
+            rows = itertools.chain(first[1:], itertools.chain.from_iterable(blocks))
+            parsed = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, Warning, DataFormatError):
+        return None
+    return (fields, parsed) if parsed.shape[1] == len(fields) else None
+
+
+def _line_blocks(handle: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
+    """The lines of ``handle`` as ``str.splitlines`` cuts them, a block of lines at a time.
+
+    Raises ValueError on text that ``loadtxt`` and ``int`` read differently:
+    ``loadtxt`` strips "\\x1f" from field edges and takes some non-ASCII
+    letters for digits ("0,\\u01fe1" parses as 4621).
+    """
+    while block := handle.read(size):
+        block += handle.readline()  # end each block at a newline, so no line is cut in two
+        if not block.isascii() or "\x1f" in block:
+            raise ValueError("shot file text outside the fast parse")
+        yield block.splitlines()
+
+
+def _read_shot_lines(path: Path) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
+
+
+def _parse_shot_lines(path: Path, declared: dict[str, int | None]) -> tuple[list[str], np.ndarray]:
+    """Header fields and int64 rows of a shot file, one line at a time.
+
+    This loop defines the format and names the file line of each fault.
+    """
+    lines = _read_shot_lines(path)
+    if not lines:
+        raise DataFormatError(f"{path}: empty file, expected a header")
+    fields = _shot_fields(path, lines[0].strip(), declared)
 
     # blank lines are skipped, so data row k need not sit on file line k + 2
     parsed = np.empty((len(lines) - 1, len(fields)), dtype=np.int64)
@@ -394,29 +479,12 @@ def ingest_shots(
         rows += 1
     if not rows:
         raise DataFormatError(f"{path}: no shots")
-    parsed = parsed[:rows]
-
-    # a joint histogram is indexed (signal, idler) whatever the column order
-    masks, shape = [], []
-    for name, bins in declared.items():
-        if name not in fields:
-            continue
-        column = parsed[:, fields.index(name)]
-        bad = np.flatnonzero((column < 0) | (column >= (1 << bins)))
-        if bad.size:
-            row = int(bad[0])
-            raise DataFormatError(
-                f"{path} line {_file_line(lines, row)}: mask {int(column[row])} "
-                f"does not fit {bins} bins"
-            )
-        masks.append(column)
-        shape.append(bins + 1)
-    counts = _click_histogram(tuple(masks), tuple(shape)).reshape(shape)
-    return ClickStatistics(counts, rows)
+    return fields, parsed[:rows]
 
 
-def _file_line(lines: list[str], row: int) -> int:
+def _file_line(path: Path, row: int) -> int:
     """File line (1-based) of data row ``row`` (0-based), counting the blank lines skipped."""
+    lines = _read_shot_lines(path)
     numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
     return numbers[row]
 

@@ -313,9 +313,8 @@ def _chain(
         docs["reconstruct"] = _write(out_dir, "reconstruction.json", recon, paths)
         _write_distribution_tables(out_dir, recon, paths)
     if "fit" in stages:
-        # the heralded arm: the multi-bin idler of layout B
-        idler = PhotonDistribution(np.asarray(docs["reconstruct"]["idler"]["probabilities"]))
-        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(idler), paths)
+        fitted = _extract(docs["reconstruct"], _VECTOR_KEYS, PhotonDistribution)
+        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(fitted), paths)
     if "metrics" in stages:
         joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
         raw = JointPhotonDistribution(tables["joint"].frequencies)
@@ -369,8 +368,9 @@ def _extract(
     return None
 
 
-# Keys a stored document may carry a single distribution vector under, in order of preference.
-_VECTOR_KEYS = ("distribution", "collective", "signal", "idler")
+# Keys a document may carry a single distribution vector under, in order of preference.
+# The idler comes before the signal because it is the heralded arm, the 8-bin one of layout B.
+_VECTOR_KEYS = ("distribution", "collective", "idler", "signal")
 
 
 def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
@@ -404,7 +404,7 @@ def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
         joint = _extract(source_doc, ("joint",), JointPhotonDistribution)
         if joint is None:
             raise DataFormatError("document carries no distribution vector to fit")
-        vector = marginals(joint)[0]
+        vector = marginals(joint)[1]
     doc = _fit_doc(vector)
     paths: list[str] = []
     _write(out_dir, "fit.json", doc, paths)

@@ -402,3 +402,11 @@ class TestStageCommandsMatchReplicate:
             assert names
             for name in names:
                 assert (alone / name).read_bytes() == (chained / name).read_bytes(), (stage, name)
+
+    def test_fit_of_the_reconstruction(self, tmp_path):
+        # the chain fits layout B's heralded 8-bin idler, not its threshold signal arm
+        chained = tmp_path / "replicate"
+        assert run_cli("replicate", "B", "--shots", 20_000, "--out", chained) == EXIT_OK
+        alone = tmp_path / "fit"
+        assert run_cli("fit", "--in", chained / "reconstruction.json", "--out", alone) == EXIT_OK
+        assert (alone / "fit.json").read_bytes() == (chained / "fit.json").read_bytes()

@@ -1,5 +1,6 @@
 """Config documents, result serialization, and shot files."""
 
+import io
 import json
 import math
 
@@ -28,6 +29,7 @@ from tmdkit import (
     write_shots,
 )
 from tmdkit.io import (
+    _SHOT_BLOCK_ROWS,
     FORMAT_VERSION,
     atomic_write_text,
     jsonable,
@@ -352,6 +354,135 @@ class TestShotFiles:
         path.write_text("shot_id,signal_mask\n")
         with pytest.raises(DataFormatError):
             ingest_shots(path, signal_bins=4)
+
+
+def reference_ingest(path, signal_bins=None, idler_bins=None):
+    """Line-by-line reading of a shot file, the outcome ``ingest_shots`` must give.
+
+    Returns ``("ok", counts, total)`` or ``("error", message)``.  Headers
+    are assumed valid; every data line is cut, split and converted with
+    plain ``str`` and ``int`` operations.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        return "error", f"cannot read shots {path}: {exc}"
+    fields = lines[0].strip().split(",")
+    rows, numbers = [], []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(fields):
+            return "error", f"{path} line {number}: expected {len(fields)} fields"
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:
+            return "error", f"{path} line {number}: non-integer field"
+        if not all(-(2**63) <= value < 2**63 for value in values):
+            return "error", f"{path} line {number}: field outside the int64 range"
+        rows.append(values)
+        numbers.append(number)
+    if not rows:
+        return "error", f"{path}: no shots"
+    table = np.array(rows, dtype=np.int64)
+    columns, shape = [], []
+    for name, bins in (("signal_mask", signal_bins), ("idler_mask", idler_bins)):
+        if name not in fields:
+            continue
+        column = table[:, fields.index(name)]
+        for row, mask in enumerate(column.tolist()):
+            if not 0 <= mask < 2**bins:
+                return "error", f"{path} line {numbers[row]}: mask {mask} does not fit {bins} bins"
+        columns.append(np.array([bin(mask).count("1") for mask in column.tolist()]))
+        shape.append(bins + 1)
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, tuple(columns), 1)
+    return "ok", counts.tolist(), len(rows)
+
+
+def _long_file(rows=200_000, bad_row=None, bad_text=b""):
+    """A one-arm shot file of ``rows`` rows, row ``bad_row`` replaced by ``bad_text``."""
+    lines = [f"{i},{i % 16}".encode() for i in range(rows)]
+    if bad_row is not None:
+        lines[bad_row] = bad_text
+    return b"shot_id,signal_mask\n" + b"\n".join(lines) + b"\n"
+
+
+ONE = b"shot_id,signal_mask\n"
+SHOT_CASES = {
+    # name: (file bytes, declared bins, what the line-by-line reading gives)
+    "whitespace-only lines": (ONE + b"0,1\n   \n\t\n1,2\n", {"signal_bins": 4}, "ok"),
+    "crlf": (b"shot_id,signal_mask,idler_mask\r\n0,1,2\r\n1,3,0\r\n", {"signal_bins": 4, "idler_bins": 2}, "ok"),
+    "plus sign": (ONE + b"0,+3\n", {"signal_bins": 4}, "ok"),
+    "padded field": (ONE + b"0, 3 \n", {"signal_bins": 4}, "ok"),
+    "underscore": (ONE + b"0,1_0\n", {"signal_bins": 4}, "ok"),
+    "hash in field": (ONE + b"0,1\n1,1#2\n", {"signal_bins": 4}, "line 3: non-integer"),
+    "trailing comma": (ONE + b"0,1,\n", {"signal_bins": 4}, "line 2: expected 2"),
+    "too few fields": (ONE + b"0,1\n1\n", {"signal_bins": 4}, "line 3: expected 2"),
+    "too many fields": (ONE + b"0,1,2\n", {"signal_bins": 4}, "line 2: expected 2"),
+    "decimal point": (ONE + b"0,1.5\n", {"signal_bins": 4}, "line 2: non-integer"),
+    "23 digits": (ONE + b"0," + b"9" * 23 + b"\n", {"signal_bins": 4}, "line 2: field outside"),
+    "header only": (ONE, {"signal_bins": 4}, "no shots"),
+    "blank lines before a bad mask": (ONE + b"0,1\n\n\n1,16\n", {"signal_bins": 4}, "line 5: mask 16"),
+    # str.splitlines ends a line at a form feed or "\x1c" as well as at a newline
+    "form feed ends a line": (ONE + b"0,1\x0c\n1,16\n", {"signal_bins": 4}, "line 4: mask 16"),
+    "file separator inside a row": (ONE + b"0\x1c,1\n", {"signal_bins": 4}, "line 2: expected 2"),
+    "unit separator": (ONE + b"0,\x1f1\n", {"signal_bins": 4}, "line 2: non-integer"),
+    "non-ASCII letter": (ONE + "0,Ǿ1\n".encode(), {"signal_bins": 4}, "line 2: non-integer"),
+    "non-ASCII digit": (ONE + "0,١\n".encode(), {"signal_bins": 4}, "ok"),
+    "long file": (_long_file(), {"signal_bins": 4}, "ok"),
+    "bad row deep in a long file": (
+        _long_file(bad_row=150_000, bad_text=b"150000,x"), {"signal_bins": 4}, "line 150002: non-integer"
+    ),
+    "bad mask deep in a long file": (
+        _long_file(bad_row=150_000, bad_text=b"\n150000,99"), {"signal_bins": 4}, "line 150003: mask 99"
+    ),
+    "non-UTF-8 byte deep in a long file": (
+        _long_file(bad_row=150_000, bad_text=b"150000,\xff"), {"signal_bins": 4}, "cannot read shots"
+    ),
+}
+
+
+class TestIngestAgainstLineReading:
+    @pytest.mark.parametrize("name", list(SHOT_CASES))
+    def test_same_outcome(self, tmp_path, name):
+        data, bins, expected = SHOT_CASES[name]
+        path = tmp_path / "shots.csv"
+        path.write_bytes(data)
+        reference = reference_ingest(path, **bins)
+        try:
+            stats = ingest_shots(path, **bins)
+            outcome = ("ok", stats.counts.tolist(), stats.total_shots)
+        except DataFormatError as exc:
+            outcome = ("error", str(exc))
+        assert outcome == reference
+        assert outcome[0] == "ok" if expected == "ok" else expected in outcome[1]
+
+
+class TestWriteShotsBytes:
+    """``write_shots`` writes what ``np.savetxt(fmt="%d")`` writes, byte for byte."""
+
+    @pytest.mark.parametrize("length", [0, 1, _SHOT_BLOCK_ROWS, _SHOT_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("arms", [("signal_mask",), ("idler_mask",), ("signal_mask", "idler_mask")])
+    def test_matches_savetxt(self, tmp_path, length, dtype, arms):
+        rng = np.random.default_rng(length)
+        extremes = [0, 2**32 - 1] + ([-1, 2**62] if dtype is np.int64 else [])
+        masks = {}
+        for name in arms:
+            column = rng.integers(0, 2**32, size=length).astype(dtype)
+            column[: len(extremes)] = extremes[:length]
+            masks[name] = column
+        path = tmp_path / "shots.csv"
+        write_shots(path, signal_masks=masks.get("signal_mask"), idler_masks=masks.get("idler_mask"))
+        table = np.column_stack(
+            [np.arange(length, dtype=np.int64)] + [masks[name].astype(np.int64) for name in arms]
+        )
+        expected = io.StringIO()
+        header = ",".join(("shot_id",) + arms)
+        np.savetxt(expected, table, fmt="%d", delimiter=",", header=header, comments="")
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestTableFiles:

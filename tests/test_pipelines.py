@@ -9,6 +9,7 @@ from tmdkit.pipelines import (
     DEFAULT_SHOTS,
     apply_overrides,
     default_config,
+    run_fit_file,
     run_metrics_file,
     run_stage,
 )
@@ -52,3 +53,19 @@ class TestRunners:
         write_json_doc(doc_path, {"format_version": 1, "signal": [0.7, 0.2, 0.1]})
         output = run_metrics_file(doc_path, tmp_path / "out")
         assert output.primary["distribution"]["mean"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("doc", [
+        {"signal": [0.7, 0.2, 0.1], "idler": [0.6, 0.4]},
+        {"joint": [[0.5, 0.0], [0.1, 0.4]]},
+    ], ids=["arms", "joint"])
+    def test_stored_documents_use_the_idler_arm(self, tmp_path, doc):
+        # as the chain's fit stage does: the idler is the heralded arm
+        doc_path, idler_path = tmp_path / "doc.json", tmp_path / "idler.json"
+        write_json_doc(doc_path, {"format_version": 1, **doc})
+        write_json_doc(idler_path, {"format_version": 1, "distribution": [0.6, 0.4]})
+        for path in (doc_path, idler_path):
+            run_fit_file(path, tmp_path / path.stem)
+        assert (tmp_path / "doc" / "fit.json").read_bytes() == (tmp_path / "idler" / "fit.json").read_bytes()
+        if "idler" in doc:
+            metrics = run_metrics_file(doc_path, tmp_path / "metrics").primary
+            assert metrics["distribution"]["mean"] == pytest.approx(0.4)
