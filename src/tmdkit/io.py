@@ -22,7 +22,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from .detector import MAX_BINS, TMDConfig
-from .errors import ConfigError, DataFormatError, DomainError
+from .errors import ConfigError, DataFormatError, DomainError, TmdkitError
 from .montecarlo import SETUPS, ExperimentConfig, _click_histogram
 from .sources import SourceModel
 from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
@@ -30,9 +30,33 @@ from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
 FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "setup", "source", "shots", "seed", "signal", "idler"}
-_SOURCE_KEYS = {"kind", "mean", "modes", "photons", "n_max", "pair_dist"}
 _DETECTOR_KEYS = {"bins", "bin_probs", "efficiency", "n_max", "efficiency_uncertainty"}
-_SOURCE_KINDS = ("thermal", "multimode", "poisson", "fock", "custom")
+
+# Parametric source kinds: the constructor and its parameters, in the
+# order they are checked and passed.  "custom" gives the pair
+# distribution itself and has no row.
+_SOURCE_KINDS = {
+    "thermal": (SourceModel.single_mode_squeezer, ("mean",)),
+    "multimode": (SourceModel.multimode_pdc, ("modes", "mean")),
+    "poisson": (SourceModel.poissonian_pairs, ("mean",)),
+    "fock": (SourceModel.fock_pairs, ("photons",)),
+}
+_SOURCE_KEYS = {"kind", "n_max", "pair_dist"}.union(*(row[1] for row in _SOURCE_KINDS.values()))
+# Least value of each integer source parameter; every other parameter is a mean.
+_SOURCE_COUNTS = {"modes": 1, "photons": 0}
+
+# Stock layouts: the source, then (bins, efficiency) of the signal and
+# idler detectors.  Sources and efficiencies follow the reference
+# twin-beam experiment the layouts are modeled on.  A config that omits
+# a detector block gets its layout's bin count from here.
+_STOCK_LAYOUTS = {
+    "A": ({"kind": "fock", "photons": 1}, (1, 0.117), (1, 0.137)),
+    "B": ({"kind": "thermal", "mean": 0.5}, (1, 0.117), (8, 0.113)),
+    "C": ({"kind": "thermal", "mean": 0.05}, (8, 0.117), (8, 0.117)),
+    "D": ({"kind": "poisson", "mean": 0.2}, (8, 0.0274), (8, 0.111)),
+}
+# Calibration uncertainty of every stock arm efficiency.
+_STOCK_SIGMA_ETA = 0.009
 
 
 def _is_int(value: Any) -> bool:
@@ -112,15 +136,27 @@ def write_json_doc(path: str | Path, doc: dict) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def read_json_doc(path: str | Path) -> dict:
-    path = Path(path)
+def _read_text(path: Path, error: type[TmdkitError], name: str) -> str:
+    """Text of a UTF-8 file; one that cannot be read or decoded raises ``error`` naming ``name``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {name}: {exc}") from exc
+
+
+def _load_json(path: Path, error: type[TmdkitError], name: str) -> Any:
+    """Decoded JSON of a file; one that is unreadable or invalid raises ``error`` naming ``name``."""
+    text = _read_text(path, error, name)
+    try:
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"{name} is not valid JSON: {exc}") from exc
+
+
+def read_json_doc(path: str | Path) -> dict:
+    path = Path(path)
+    doc = _load_json(path, DataFormatError, str(path))
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
     version = doc.get("format_version", FORMAT_VERSION)
@@ -141,56 +177,55 @@ def _require(doc: dict, field: str, where: str) -> Any:
     return doc[field]
 
 
+def _count(value: Any, name: str, least: int) -> int:
+    """``value`` as an integer of at least ``least`` (0 or 1), else ConfigError naming ``name``."""
+    if not _is_int(value) or value < least:
+        rule = "a positive" if least else "a non-negative"
+        raise ConfigError(f"{name} must be {rule} integer")
+    return int(value)
+
+
+def _numbers(value: Any, name: str) -> np.ndarray:
+    """``value`` as a float array if it is a list of numbers, else a ConfigError naming ``name``."""
+    if not isinstance(value, list) or not all(_is_real(x) for x in value):
+        raise ConfigError(f"{name} must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _source_parameter(doc: dict, name: str) -> int | float:
+    value = _require(doc, name, "source")
+    if name in _SOURCE_COUNTS:
+        return _count(value, f"source.{name}", _SOURCE_COUNTS[name])
+    if not _is_real(value) or not math.isfinite(value) or value < 0:
+        raise ConfigError(f"source.{name} must be a finite non-negative number")
+    return float(value)
+
+
 def _parse_source(doc: Any) -> SourceModel:
     if not isinstance(doc, dict):
         raise ConfigError("source must be an object")
     _reject_unknown(doc, _SOURCE_KEYS, "source")
     kind = _require(doc, "kind", "source")
-    if kind not in _SOURCE_KINDS:
-        raise ConfigError(f"source.kind must be one of {_SOURCE_KINDS}, got {kind!r}")
+    kinds = (*_SOURCE_KINDS, "custom")
+    if kind not in kinds:
+        raise ConfigError(f"source.kind must be one of {kinds}, got {kind!r}")
     n_max = doc.get("n_max")
-    if n_max is not None and (not _is_int(n_max) or n_max < 0):
-        raise ConfigError("source.n_max must be a non-negative integer")
-
-    def need_mean() -> float:
-        mean = _require(doc, "mean", "source")
-        if not _is_real(mean) or not math.isfinite(mean) or mean < 0:
-            raise ConfigError("source.mean must be a finite non-negative number")
-        return float(mean)
-
+    if n_max is not None:
+        n_max = _count(n_max, "source.n_max", 0)
     try:
-        if kind == "thermal":
-            return SourceModel.single_mode_squeezer(need_mean(), n_max)
-        if kind == "poisson":
-            return SourceModel.poissonian_pairs(need_mean(), n_max)
-        if kind == "multimode":
-            modes = _require(doc, "modes", "source")
-            if not _is_int(modes) or modes < 1:
-                raise ConfigError("source.modes must be a positive integer")
-            return SourceModel.multimode_pdc(int(modes), need_mean(), n_max)
-        if kind == "fock":
-            photons = _require(doc, "photons", "source")
-            if not _is_int(photons) or photons < 0:
-                raise ConfigError("source.photons must be a non-negative integer")
-            return SourceModel.fock_pairs(int(photons), n_max)
-        pair_dist = _require(doc, "pair_dist", "source")
-        if not isinstance(pair_dist, list) or not all(_is_real(x) for x in pair_dist):
-            raise ConfigError("source.pair_dist must be a list of numbers")
-        return SourceModel(PhotonDistribution(np.asarray(pair_dist, dtype=float)), "custom")
+        if kind == "custom":
+            pair_dist = _numbers(_require(doc, "pair_dist", "source"), "source.pair_dist")
+            return SourceModel(PhotonDistribution(pair_dist), "custom")
+        constructor, params = _SOURCE_KINDS[kind]
+        return constructor(*(_source_parameter(doc, name) for name in params), n_max)
     except DomainError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
 
-def _default_detector(setup: str, arm: str) -> TMDConfig:
-    threshold = setup == "A" or (setup == "B" and arm == "signal")
-    if threshold:
-        return TMDConfig.uniform(bins=1)
-    return TMDConfig.uniform(bins=8)
-
-
-def _parse_detector(doc: Any, setup: str, arm: str) -> tuple[TMDConfig, float]:
+def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, float]:
+    """Detector and efficiency uncertainty of one arm; no block means ``stock_bins`` ideal bins."""
     if doc is None:
-        return _default_detector(setup, arm), 0.0
+        doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{arm} must be an object")
     _reject_unknown(doc, _DETECTOR_KEYS, arm)
@@ -203,20 +238,15 @@ def _parse_detector(doc: Any, setup: str, arm: str) -> tuple[TMDConfig, float]:
     if not _is_real(sigma) or not 0.0 <= float(sigma) < 1.0:
         raise ConfigError(f"{arm}.efficiency_uncertainty must lie in [0, 1)")
     n_max = doc.get("n_max")
-    if n_max is not None and (not _is_int(n_max) or n_max < 0):
-        raise ConfigError(f"{arm}.n_max must be a non-negative integer")
+    if n_max is not None:
+        n_max = _count(n_max, f"{arm}.n_max", 0)
     try:
         if "bin_probs" in doc:
-            probs = doc["bin_probs"]
-            if not isinstance(probs, list) or not all(_is_real(x) for x in probs):
-                raise ConfigError(f"{arm}.bin_probs must be a list of numbers")
-            probs = np.asarray(probs, dtype=float)
+            probs = _numbers(doc["bin_probs"], f"{arm}.bin_probs")
             tmd = TMDConfig(probs, float(efficiency), probs.size if n_max is None else n_max)
         else:
-            bins = doc.get("bins", _default_detector(setup, arm).bins)
-            if not _is_int(bins) or bins < 1:
-                raise ConfigError(f"{arm}.bins must be a positive integer")
-            tmd = TMDConfig.uniform(int(bins), float(efficiency), n_max)
+            bins = _count(doc.get("bins", stock_bins), f"{arm}.bins", 1)
+            tmd = TMDConfig.uniform(bins, float(efficiency), n_max)
     except DomainError as exc:
         raise ConfigError(f"{arm}: {exc}") from exc
     return tmd, float(sigma)
@@ -226,9 +256,8 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     """Validate a config document and build the experiment it describes.
 
     Validation is strict: unknown fields are rejected and every error
-    names the offending field.  Omitted detector blocks default to the
-    layout-appropriate arity (threshold or 8 uniform bins) at unit
-    efficiency.
+    names the offending field.  An omitted detector block gets its
+    layout's stock bin count at unit efficiency.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -239,22 +268,21 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     setup = _require(doc, "setup", "config")
     if setup not in SETUPS:
         raise ConfigError(f"setup must be one of {SETUPS}, got {setup!r}")
-    shots = _require(doc, "shots", "config")
-    if not _is_int(shots) or shots < 1:
-        raise ConfigError("shots must be a positive integer")
+    shots = _count(_require(doc, "shots", "config"), "shots", 1)
     seed = _require(doc, "seed", "config")
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     source = _parse_source(_require(doc, "source", "config"))
-    tmd_signal, sigma_signal = _parse_detector(doc.get("signal"), setup, "signal")
-    tmd_idler, sigma_idler = _parse_detector(doc.get("idler"), setup, "idler")
+    _, (signal_bins, _), (idler_bins, _) = _STOCK_LAYOUTS[setup]
+    tmd_signal, sigma_signal = _parse_detector(doc.get("signal"), "signal", signal_bins)
+    tmd_idler, sigma_idler = _parse_detector(doc.get("idler"), "idler", idler_bins)
     try:
         return ExperimentConfig(
             source=source,
             setup=setup,
             tmd_signal=tmd_signal,
             tmd_idler=tmd_idler,
-            shots=int(shots),
+            shots=shots,
             seed=int(seed),
             sigma_eta_signal=sigma_signal,
             sigma_eta_idler=sigma_idler,
@@ -263,34 +291,28 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _stock_doc(setup: str, shots: Any, seed: Any) -> dict:
+    """Config document of the stock layout ``setup`` with the given run length and seed."""
+    source, signal, idler = _STOCK_LAYOUTS[setup]
+    doc = {"setup": setup, "source": source, "shots": shots, "seed": seed}
+    for arm, (bins, eta) in (("signal", signal), ("idler", idler)):
+        doc[arm] = {"bins": bins, "efficiency": eta, "efficiency_uncertainty": _STOCK_SIGMA_ETA}
+    return doc
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_doc(doc)
+    return config_from_doc(_load_json(path, ConfigError, f"config {path}"))
 
 
 def _serialize_source(source: SourceModel) -> dict:
-    doc: dict[str, Any] = {"kind": source.label, "n_max": source.pair_dist.n_max}
-    if source.label == "thermal" or source.label == "poisson":
-        doc["mean"] = source.mean
-    elif source.label == "multimode":
-        doc["mean"] = source.mean
-        doc["modes"] = source.modes
-    elif source.label == "fock":
-        doc["photons"] = source.photons
-    else:
-        doc = {"kind": "custom", "pair_dist": source.pair_dist.probs.tolist()}
-    if None in doc.values():
-        # parametric label without its parameters: fall back to the explicit form
-        doc = {"kind": "custom", "pair_dist": source.pair_dist.probs.tolist()}
-    return doc
+    if source.label in _SOURCE_KINDS:
+        params = {name: getattr(source, name) for name in _SOURCE_KINDS[source.label][1]}
+        # a parametric label without its parameters falls back to the explicit form
+        if None not in params.values():
+            return {"kind": source.label, "n_max": source.pair_dist.n_max, **params}
+    return {"kind": "custom", "pair_dist": source.pair_dist.probs.tolist()}
 
 
 def _serialize_detector(tmd: TMDConfig, sigma: float) -> dict:
@@ -339,13 +361,15 @@ def write_shots(
     length = columns[0].size
     if any(col.ndim != 1 or col.size != length for col in columns):
         raise DomainError("mask arrays must be 1-d and equally long")
-    table = np.column_stack([np.arange(length, dtype=np.int64)] + [c.astype(np.int64) for c in columns])
-    # the "%d" rows np.savetxt writes, formatted a block of rows per call
+    # the "%d" rows np.savetxt writes, formatted a block of rows per call;
+    # each block is stacked on its own, so no whole-run table is built
     row = ",".join(["%d"] * len(header)) + "\n"
     with _atomic_open(path) as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, length, _SHOT_BLOCK_ROWS):
-            block = table[start : start + _SHOT_BLOCK_ROWS]
+            stop = min(start + _SHOT_BLOCK_ROWS, length)
+            ids = np.arange(start, stop, dtype=np.int64)
+            block = np.column_stack([ids] + [col[start:stop].astype(np.int64) for col in columns])
             handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -443,20 +467,12 @@ def _line_blocks(handle: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
         yield block.splitlines()
 
 
-def _read_shot_lines(path: Path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
-
-
 def _parse_shot_lines(path: Path, declared: dict[str, int | None]) -> tuple[list[str], np.ndarray]:
     """Header fields and int64 rows of a shot file, one line at a time.
 
     This loop defines the format and names the file line of each fault.
     """
-    lines = _read_shot_lines(path)
+    lines = _read_text(path, DataFormatError, f"shots {path}").splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header")
     fields = _shot_fields(path, lines[0].strip(), declared)
@@ -484,7 +500,7 @@ def _parse_shot_lines(path: Path, declared: dict[str, int | None]) -> tuple[list
 
 def _file_line(path: Path, row: int) -> int:
     """File line (1-based) of data row ``row`` (0-based), counting the blank lines skipped."""
-    lines = _read_shot_lines(path)
+    lines = _read_text(path, DataFormatError, f"shots {path}").splitlines()
     numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
     return numbers[row]
 

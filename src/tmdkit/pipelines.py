@@ -35,7 +35,6 @@ from .montecarlo import (
     run_experiment,
 )
 from .reconstruct import ReconstructionResult, invert_joint, invert_single, propagate_errors
-from .sources import SourceModel
 from .stats import (
     ClickStatistics,
     JointPhotonDistribution,
@@ -60,34 +59,13 @@ class RunOutput:
     paths: tuple[str, ...]
 
 
-# Stock layouts: source and its parameter, then (bins, efficiency) of the
-# signal and idler detectors.  Sources and efficiencies follow the
-# reference twin-beam experiment the layouts are modeled on.
-_STOCK_LAYOUTS = {
-    "A": (SourceModel.fock_pairs, 1, (1, 0.117), (1, 0.137)),
-    "B": (SourceModel.single_mode_squeezer, 0.5, (1, 0.117), (8, 0.113)),
-    "C": (SourceModel.single_mode_squeezer, 0.05, (8, 0.117), (8, 0.117)),
-    "D": (SourceModel.poissonian_pairs, 0.2, (8, 0.0274), (8, 0.111)),
-}
-# Calibration uncertainty of every stock arm efficiency.
-_STOCK_SIGMA_ETA = 0.009
-
-
 def default_config(setup: str, shots: int | None = None, seed: int | None = None) -> ExperimentConfig:
-    """Stock configuration of each measurement layout; override any of it via a config file."""
-    if setup not in _STOCK_LAYOUTS:
+    """Stock configuration of a layout, validated like a config file; override any of it via one."""
+    if setup not in tmdio._STOCK_LAYOUTS:
         raise DomainError(f"unknown setup {setup!r}")
-    source, parameter, signal, idler = _STOCK_LAYOUTS[setup]
-    return ExperimentConfig(
-        source=source(parameter),
-        setup=setup,
-        tmd_signal=TMDConfig.uniform(*signal),
-        tmd_idler=TMDConfig.uniform(*idler),
-        shots=DEFAULT_SHOTS if shots is None else shots,
-        seed=DEFAULT_SEED if seed is None else seed,
-        sigma_eta_signal=_STOCK_SIGMA_ETA,
-        sigma_eta_idler=_STOCK_SIGMA_ETA,
-    )
+    shots = DEFAULT_SHOTS if shots is None else shots
+    seed = DEFAULT_SEED if seed is None else seed
+    return tmdio.config_from_doc(tmdio._stock_doc(setup, shots, seed))
 
 
 def apply_overrides(
@@ -234,7 +212,14 @@ def _vector_metrics(dist: PhotonDistribution) -> dict:
     }
 
 
-def _fit_doc(dist: PhotonDistribution) -> dict:
+def _fit_doc(stored: dict) -> dict:
+    """Family fits to a document's first ``_VECTOR_KEYS`` vector, else to its joint idler marginal."""
+    dist = _extract(stored, _VECTOR_KEYS, PhotonDistribution)
+    if dist is None:
+        joint = _extract(stored, ("joint",), JointPhotonDistribution)
+        if joint is None:
+            raise DataFormatError("document carries no distribution vector to fit")
+        dist = marginals(joint)[1]
     poisson = fit_poisson(dist)
     thermal = fit_thermal(dist)
     doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "fit"}
@@ -313,8 +298,7 @@ def _chain(
         docs["reconstruct"] = _write(out_dir, "reconstruction.json", recon, paths)
         _write_distribution_tables(out_dir, recon, paths)
     if "fit" in stages:
-        fitted = _extract(docs["reconstruct"], _VECTOR_KEYS, PhotonDistribution)
-        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(fitted), paths)
+        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(docs["reconstruct"]), paths)
     if "metrics" in stages:
         joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
         raw = JointPhotonDistribution(tables["joint"].frequencies)
@@ -379,7 +363,6 @@ def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     Accepts a reconstruction document or a bare document carrying
     ``joint`` (matrix) or ``distribution`` (vector) probabilities.
     """
-    out_dir = Path(out_dir)
     source_doc = tmdio.read_json_doc(in_path)
     doc: dict = {"format_version": tmdio.FORMAT_VERSION, "kind": "metrics"}
     joint = _extract(source_doc, ("joint",), JointPhotonDistribution)
@@ -391,23 +374,15 @@ def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     if joint is None and vector is None:
         raise DataFormatError("document carries neither a joint matrix nor a distribution vector")
     paths: list[str] = []
-    _write(out_dir, "metrics.json", doc, paths)
+    _write(Path(out_dir), "metrics.json", doc, paths)
     return RunOutput(doc, tuple(paths))
 
 
 def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     """Fit the one-parameter families to a stored distribution document."""
-    out_dir = Path(out_dir)
-    source_doc = tmdio.read_json_doc(in_path)
-    vector = _extract(source_doc, _VECTOR_KEYS, PhotonDistribution)
-    if vector is None:
-        joint = _extract(source_doc, ("joint",), JointPhotonDistribution)
-        if joint is None:
-            raise DataFormatError("document carries no distribution vector to fit")
-        vector = marginals(joint)[1]
-    doc = _fit_doc(vector)
+    doc = _fit_doc(tmdio.read_json_doc(in_path))
     paths: list[str] = []
-    _write(out_dir, "fit.json", doc, paths)
+    _write(Path(out_dir), "fit.json", doc, paths)
     return RunOutput(doc, tuple(paths))
 
 

@@ -73,7 +73,7 @@ def twin_beam_joint(pair_dist: PhotonDistribution) -> JointPhotonDistribution:
     return JointPhotonDistribution(np.diag(pair_dist.probs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SourceModel:
     """Twin-beam source described by its pair-number distribution.
 
@@ -91,17 +91,6 @@ class SourceModel:
     def __post_init__(self) -> None:
         if self.pair_dist.probs.min() < 0.0:
             raise DomainError("pair distribution must be non-negative")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SourceModel):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.mean == other.mean
-            and self.modes == other.modes
-            and self.photons == other.photons
-            and self.pair_dist == other.pair_dist
-        )
 
     @property
     def joint(self) -> JointPhotonDistribution:

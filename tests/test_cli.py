@@ -385,6 +385,17 @@ class TestReplicate:
         assert serialize_config(config) == read_json_doc(out / "manifest.json")["config"]
 
 
+    @pytest.mark.parametrize("layout", ["A", "B", "C", "D"])
+    def test_written_config_reruns_the_same_files(self, tmp_path, layout):
+        stock, again = tmp_path / "stock", tmp_path / "again"
+        assert run_cli("replicate", layout, "--shots", 20_000, "--out", stock) == EXIT_OK
+        assert run_cli("replicate", layout, "--config", stock / "config.json", "--out", again) == EXIT_OK
+        names = sorted(p.name for p in stock.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (again / name).read_bytes() == (stock / name).read_bytes(), name
+
+
 class TestStageCommandsMatchReplicate:
     """A stage command writes the same bytes as the same stage inside ``replicate``."""
 

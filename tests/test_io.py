@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tmdkit import (
+    SETUPS,
     ClickStatistics,
     ConfigError,
     DataFormatError,
@@ -30,6 +32,7 @@ from tmdkit import (
 )
 from tmdkit.io import (
     _SHOT_BLOCK_ROWS,
+    _STOCK_LAYOUTS,
     FORMAT_VERSION,
     atomic_write_text,
     jsonable,
@@ -266,6 +269,125 @@ class TestConfigValidation:
             parse_config(path)
 
 
+_ABSENT = object()  # a case value that deletes the field
+_KINDS = "('thermal', 'multimode', 'poisson', 'fock', 'custom')"
+
+# (block, field, value, exact message): block is "config" for the top
+# level, "source", or an arm; the case sets that field of a valid layout D
+# document to the value.
+_CONFIG_MESSAGES = [
+    ("config", "setup", "E", "setup must be one of ('A', 'B', 'C', 'D'), got 'E'"),
+    ("config", "shots", 0, "shots must be a positive integer"),
+    ("config", "shots", True, "shots must be a positive integer"),
+    ("config", "shots", 1.5, "shots must be a positive integer"),
+    ("config", "seed", -1, "seed must be an unsigned 64-bit integer"),
+    ("config", "seed", 2**64, "seed must be an unsigned 64-bit integer"),
+    ("config", "seed", "1", "seed must be an unsigned 64-bit integer"),
+    ("config", "format_version", 2, "unsupported format_version 2"),
+    ("config", "source", [], "source must be an object"),
+    ("config", "extra", 1, "unknown field 'extra' in config"),
+    ("source", "kind", "laser", f"source.kind must be one of {_KINDS}, got 'laser'"),
+    ("source", "kind", ["thermal"], f"source.kind must be one of {_KINDS}, got ['thermal']"),
+    ("source", "n_max", -1, "source.n_max must be a non-negative integer"),
+    ("source", "n_max", 2.0, "source.n_max must be a non-negative integer"),
+    ("source", "mean", -0.5, "source.mean must be a finite non-negative number"),
+    ("source", "mean", float("inf"), "source.mean must be a finite non-negative number"),
+    ("source", "mean", "0.5", "source.mean must be a finite non-negative number"),
+    ("source", "modes", 0, "source.modes must be a positive integer"),
+    ("source", "modes", 2.0, "source.modes must be a positive integer"),
+    ("source", "gain", 2.0, "unknown field 'gain' in source"),
+    ("signal", "bins", 0, "signal.bins must be a positive integer"),
+    ("signal", "bins", 33, "signal: bins 33 outside [1, MAX_BINS=32]"),
+    ("signal", "n_max", -1, "signal.n_max must be a non-negative integer"),
+    ("signal", "efficiency", "1", "signal.efficiency must be a number"),
+    ("signal", "efficiency", 1.5, "signal: efficiency 1.5 outside [0, 1]"),
+    ("signal", "efficiency_uncertainty", 1.0, "signal.efficiency_uncertainty must lie in [0, 1)"),
+    ("signal", "bin_probs", "x", "signal: give either bins or bin_probs, not both"),
+    ("signal", "dead_time", 1, "unknown field 'dead_time' in signal"),
+    ("idler", "bins", True, "idler.bins must be a positive integer"),
+    ("idler", "n_max", "8", "idler.n_max must be a non-negative integer"),
+    ("idler", "efficiency", None, "idler.efficiency must be a number"),
+    ("idler", "efficiency_uncertainty", -0.1, "idler.efficiency_uncertainty must lie in [0, 1)"),
+    ("idler", "dead_time", 1, "unknown field 'dead_time' in idler"),
+] + [
+    (block, field, _ABSENT, f"missing required field {field!r} in {block}")
+    for block, fields in (
+        ("config", ("setup", "shots", "seed", "source")),
+        ("source", ("kind", "mean", "modes")),
+    )
+    for field in fields
+]
+# (block, whole block, exact message): other source kinds, detectors given
+# by bin_probs, and a block that is not an object
+_OTHER_BLOCKS = [
+    ("source", {"kind": "fock", "photons": -1}, "source.photons must be a non-negative integer"),
+    ("source", {"kind": "fock", "photons": 1.0}, "source.photons must be a non-negative integer"),
+    ("source", {"kind": "fock"}, "missing required field 'photons' in source"),
+    ("source", {"kind": "custom", "pair_dist": [1, "a"]}, "source.pair_dist must be a list of numbers"),
+    ("source", {"kind": "custom", "pair_dist": 1.0}, "source.pair_dist must be a list of numbers"),
+    ("source", {"kind": "custom"}, "missing required field 'pair_dist' in source"),
+    ("source", {"kind": "fock", "photons": 3, "n_max": 2}, "source: Fock photon number 3 exceeds n_max=2"),
+    ("signal", {"bin_probs": [0.5, "a"]}, "signal.bin_probs must be a list of numbers"),
+    ("idler", {"bin_probs": {"0": 1.0}}, "idler.bin_probs must be a list of numbers"),
+    ("idler", 8, "idler must be an object"),
+]
+
+
+def _layout_d_doc():
+    return {
+        "setup": "D",
+        "shots": 100,
+        "seed": 1,
+        "source": {"kind": "multimode", "modes": 2, "mean": 0.5, "n_max": 20},
+        "signal": {"bins": 8, "efficiency": 0.5},
+        "idler": {"bins": 8, "efficiency": 0.5},
+    }
+
+
+class TestConfigMessages:
+    """Every field rule of the config document, pinned to its exact message."""
+
+    @pytest.mark.parametrize("block, field, value, message", _CONFIG_MESSAGES, ids=[
+        f"{block}.{field}={'absent' if value is _ABSENT else repr(value)}"
+        for block, field, value, _ in _CONFIG_MESSAGES
+    ])
+    def test_field_rule(self, block, field, value, message):
+        doc = _layout_d_doc()
+        target = doc if block == "config" else doc[block]
+        if value is _ABSENT:
+            del target[field]
+        else:
+            target[field] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_doc(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("block, value, message", _OTHER_BLOCKS, ids=[
+        f"{block}={value!r}" for block, value, _ in _OTHER_BLOCKS
+    ])
+    def test_block_rule(self, block, value, message):
+        doc = _layout_d_doc() | {block: value}
+        with pytest.raises(ConfigError) as info:
+            config_from_doc(doc)
+        assert str(info.value) == message
+
+    def test_not_an_object(self):
+        with pytest.raises(ConfigError, match=r"^config must be a JSON object$"):
+            config_from_doc([])
+
+
+class TestStockLayouts:
+    def test_one_row_per_setup(self):
+        assert tuple(_STOCK_LAYOUTS) == SETUPS
+
+    @pytest.mark.parametrize("setup, bins", [("A", (1, 1)), ("B", (1, 8)), ("C", (8, 8)), ("D", (8, 8))])
+    def test_omitted_detectors_get_stock_bins(self, setup, bins):
+        doc = {"setup": setup, "shots": 100, "seed": 1, "source": {"kind": "fock", "photons": 1}}
+        config = config_from_doc(doc)
+        assert (config.tmd_signal, config.tmd_idler) == tuple(TMDConfig.uniform(b) for b in bins)
+        assert (config.sigma_eta_signal, config.sigma_eta_idler) == (0.0, 0.0)
+
+
 class TestShotFiles:
     def test_roundtrip_both_arms(self, tmp_path):
         path = tmp_path / "shots.csv"
@@ -483,6 +605,19 @@ class TestWriteShotsBytes:
         header = ",".join(("shot_id",) + arms)
         np.savetxt(expected, table, fmt="%d", delimiter=",", header=header, comments="")
         assert path.read_bytes() == expected.getvalue().encode()
+
+
+    def test_write_holds_one_block_at_a_time(self, tmp_path):
+        # the whole 200,000 x 3 int64 table alone would take 4.8 MB
+        rng = np.random.default_rng(5)
+        signal, idler = rng.integers(0, 256, size=(2, 200_000)).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            write_shots(tmp_path / "shots.csv", signal_masks=signal, idler_masks=idler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestTableFiles:

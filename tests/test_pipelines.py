@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tmdkit import DomainError, write_json_doc
+from tmdkit import ConfigError, DomainError, write_json_doc
 from tmdkit.pipelines import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,
@@ -29,6 +29,18 @@ class TestDefaultConfigs:
     def test_rejects_unknown(self):
         with pytest.raises(DomainError):
             default_config("Z")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("shots", 0, "shots must be a positive integer"),
+        ("shots", True, "shots must be a positive integer"),
+        ("shots", 1.5, "shots must be a positive integer"),
+        ("seed", -1, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+    ])
+    def test_validated_like_a_config_file(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            default_config("D", **{field: value})
+        assert str(info.value) == message
 
     def test_overrides(self):
         config = apply_overrides(default_config("A"), shots=77, seed=3)
