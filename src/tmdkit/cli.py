@@ -109,16 +109,18 @@ def _dispatch(args: argparse.Namespace) -> None:
         else:
             output = pipelines.run_stage(args.command, config, args.out, **options)
         echo, seed = tmdio.serialize_config(config), config.seed
-    manifest = tmdio.RunManifest(
-        command=f"replicate {args.setup}" if args.command == "replicate" else args.command,
-        config=echo,
-        seed=seed,
-        version=__version__,
-        inputs=tuple(inputs),
-        outputs=output.paths,
-        duration_seconds=time.monotonic() - started,
-    )
-    tmdio.write_manifest(Path(args.out) / "manifest.json", manifest)
+    # provenance record tying the run's outputs to its exact inputs
+    manifest = {
+        "format_version": tmdio.FORMAT_VERSION,
+        "tool": {"name": "tmdkit", "version": __version__},
+        "command": f"replicate {args.setup}" if args.command == "replicate" else args.command,
+        "config": echo,
+        "seed": seed,
+        "inputs": list(inputs),
+        "outputs": list(output.paths),
+        "duration_seconds": time.monotonic() - started,
+    }
+    tmdio.write_json_doc(Path(args.out) / "manifest.json", manifest)
     _print_summary(output.primary)
     for path in output.paths:
         print(f"wrote {path}")

@@ -12,10 +12,10 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
@@ -64,7 +64,10 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_real(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
+    """True for a number a float holds; an integer too large for one is not."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.floating))
 
 
 def jsonable(value: Any) -> Any:
@@ -182,6 +185,9 @@ def _count(value: Any, name: str, least: int) -> int:
     if not _is_int(value) or value < least:
         rule = "a positive" if least else "a non-negative"
         raise ConfigError(f"{name} must be {rule} integer")
+    # config integers become numpy sizes and indices
+    if value > np.iinfo(np.int64).max:
+        raise ConfigError(f"{name} must fit a signed 64-bit integer")
     return int(value)
 
 
@@ -211,6 +217,10 @@ def _parse_source(doc: Any) -> SourceModel:
         raise ConfigError(f"source.kind must be one of {kinds}, got {kind!r}")
     n_max = doc.get("n_max")
     if n_max is not None:
+        if kind == "custom":
+            raise ConfigError(
+                "source.n_max does not apply to a custom source; pair_dist sets its truncation"
+            )
         n_max = _count(n_max, "source.n_max", 0)
     try:
         if kind == "custom":
@@ -539,31 +549,3 @@ def write_clicks_csv(path: str | Path, clicks: ClickStatistics) -> None:
     index = "clicks" if clicks.counts.ndim == 1 else "signal_clicks,idler_clicks"
     _write_table(path, f"{index},count,frequency", clicks.counts, clicks.frequencies)
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record tying a run's outputs to its exact inputs."""
-
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    duration_seconds: float
-
-    def to_doc(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "tool": {"name": "tmdkit", "version": self.version},
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "duration_seconds": self.duration_seconds,
-        }
-
-
-def write_manifest(path: str | Path, manifest: RunManifest) -> None:
-    write_json_doc(path, manifest.to_doc())

@@ -18,7 +18,6 @@ import numpy as np
 
 from .detector import TMDConfig
 from .errors import DomainError
-from .reconstruct import CalibrationRecord, klyshko_efficiency
 from .sources import SourceModel
 from .stats import ClickStatistics
 
@@ -77,7 +76,6 @@ class ExperimentConfig:
 class ExperimentResult:
     """Accumulated click histograms and coincidence counters for a run."""
 
-    config: ExperimentConfig
     signal_clicks: ClickStatistics
     idler_clicks: ClickStatistics
     joint_clicks: ClickStatistics
@@ -87,20 +85,11 @@ class ExperimentResult:
     signal_masks: np.ndarray | None = None
     idler_masks: np.ndarray | None = None
 
-    def signal_calibration(self) -> CalibrationRecord:
-        """Klyshko estimate of the signal-arm efficiency."""
-        return _klyshko(self.joint_clicks)[0]
-
-    def idler_calibration(self) -> CalibrationRecord:
-        """Klyshko estimate of the idler-arm efficiency."""
-        return _klyshko(self.joint_clicks)[1]
-
 
 @dataclass(frozen=True)
 class CollectiveResult:
     """Click histogram of a run with both arms merged into one detector."""
 
-    config: ExperimentConfig
     clicks: ClickStatistics
     masks: np.ndarray | None = None
 
@@ -111,24 +100,12 @@ def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
     return int(counts[1:, :].sum()), int(counts[:, 1:].sum()), int(counts[1:, 1:].sum())
 
 
-def _klyshko(joint: ClickStatistics) -> tuple[CalibrationRecord, CalibrationRecord]:
-    """Klyshko estimates of the (signal, idler) efficiencies from a joint click table."""
-    signal_singles, idler_singles, coincidences = _tallies(joint)
-    # each arm's efficiency is gated on the opposite arm's singles
-    return (
-        klyshko_efficiency(coincidences, idler_singles),
-        klyshko_efficiency(coincidences, signal_singles),
-    )
-
-
-def iter_shot_chunks(shots: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, int]]:
-    """Yield (chunk_index, chunk_shots) covering ``shots`` in order."""
+def iter_shot_chunks(shots: int) -> Iterator[tuple[int, int]]:
+    """Yield (chunk_index, chunk_shots) covering ``shots`` in order, ``CHUNK_SIZE`` at a time."""
     if shots <= 0:
         raise DomainError("shots must be positive")
-    if chunk_size <= 0:
-        raise DomainError("chunk_size must be positive")
-    for index, start in enumerate(range(0, shots, chunk_size)):
-        yield index, min(chunk_size, shots - start)
+    for index, start in enumerate(range(0, shots, CHUNK_SIZE)):
+        yield index, min(CHUNK_SIZE, shots - start)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -236,7 +213,6 @@ def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> Experi
     joint_clicks = ClickStatistics(joint, config.shots)
     signal_singles, idler_singles, coincidences = _tallies(joint_clicks)
     return ExperimentResult(
-        config=config,
         signal_clicks=ClickStatistics(joint.sum(axis=1), config.shots),
         idler_clicks=ClickStatistics(joint.sum(axis=0), config.shots),
         joint_clicks=joint_clicks,
@@ -261,33 +237,7 @@ def run_collective_experiment(
         raise DomainError("run_collective_experiment requires the shared-detector setup")
     histogram, kept = _simulate(config, keep_shots)
     return CollectiveResult(
-        config=config,
         clicks=ClickStatistics(histogram, config.shots),
         masks=kept[0] if keep_shots else None,
     )
 
-
-def simulate_klyshko(
-    source: SourceModel,
-    eta_signal: float,
-    eta_idler: float,
-    shots: int,
-    seed: int,
-) -> tuple[CalibrationRecord, CalibrationRecord]:
-    """Calibrate both arms from a threshold-detector coincidence run.
-
-    Returns the (signal, idler) efficiency records.  The estimate is
-    exact only in the low-gain limit; multi-pair emission biases the
-    ratio upward because either photon of a multi-pair shot can fire the
-    heralding detector.
-    """
-    config = ExperimentConfig(
-        source=source,
-        setup="A",
-        tmd_signal=TMDConfig.uniform(bins=1, efficiency=eta_signal),
-        tmd_idler=TMDConfig.uniform(bins=1, efficiency=eta_idler),
-        shots=shots,
-        seed=seed,
-    )
-    result = run_experiment(config)
-    return result.signal_calibration(), result.idler_calibration()

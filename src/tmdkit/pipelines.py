@@ -29,12 +29,19 @@ from .montecarlo import (
     CollectiveResult,
     ExperimentConfig,
     ExperimentResult,
-    _klyshko,
     _tallies,
     run_collective_experiment,
     run_experiment,
 )
-from .reconstruct import ReconstructionResult, invert_joint, invert_single, propagate_errors
+from .reconstruct import (
+    CalibrationRecord,
+    ReconstructionResult,
+    invert_joint,
+    invert_single,
+    klyshko_efficiency,
+    propagate_errors,
+)
+from .sources import SourceModel
 from .stats import (
     ClickStatistics,
     JointPhotonDistribution,
@@ -117,6 +124,41 @@ def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]
         tallies = _tallies(tables["joint"])
         doc["rates_per_shot"] = {name: n / config.shots for name, n in zip(names, tallies)}
     return doc
+
+
+def _klyshko(joint: ClickStatistics) -> tuple[CalibrationRecord, CalibrationRecord]:
+    """Klyshko estimates of the (signal, idler) efficiencies from a joint click table."""
+    signal_singles, idler_singles, coincidences = _tallies(joint)
+    # each arm's efficiency is gated on the opposite arm's singles
+    return (
+        klyshko_efficiency(coincidences, idler_singles),
+        klyshko_efficiency(coincidences, signal_singles),
+    )
+
+
+def simulate_klyshko(
+    source: SourceModel,
+    eta_signal: float,
+    eta_idler: float,
+    shots: int,
+    seed: int,
+) -> tuple[CalibrationRecord, CalibrationRecord]:
+    """Calibrate both arms from a threshold-detector coincidence run.
+
+    Returns the (signal, idler) efficiency records.  The estimate is
+    exact only in the low-gain limit; multi-pair emission biases the
+    ratio upward because either photon of a multi-pair shot can fire the
+    heralding detector.
+    """
+    config = ExperimentConfig(
+        source=source,
+        setup="A",
+        tmd_signal=TMDConfig.uniform(bins=1, efficiency=eta_signal),
+        tmd_idler=TMDConfig.uniform(bins=1, efficiency=eta_idler),
+        shots=shots,
+        seed=seed,
+    )
+    return _klyshko(run_experiment(config).joint_clicks)
 
 
 def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
@@ -347,7 +389,7 @@ def _extract(
         probs = fragment.get("probabilities") if isinstance(fragment, dict) else fragment
         try:
             return kind(np.asarray(probs, dtype=float))
-        except (TypeError, ValueError, DomainError) as exc:
+        except (TypeError, ValueError, OverflowError, DomainError) as exc:
             raise DataFormatError(f"{key} entry is not a probability {noun}: {exc}") from exc
     return None
 

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from tmdkit import parse_config, read_json_doc, serialize_config, write_json_doc
+from tmdkit import (
+    __version__,
+    default_config,
+    parse_config,
+    read_json_doc,
+    serialize_config,
+    write_json_doc,
+)
 from tmdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -300,6 +307,74 @@ class TestMalformedDocuments:
         doc_path.write_text("[" * 200_000 + "]" * 200_000)
         assert run_cli(command, "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+
+# An integer that neither a float nor numpy's int64 holds.
+_HUGE = 10**400
+
+# (field named in the error, config block, value of that block)
+_HUGE_CONFIG_FIELDS = [
+    ("source.mean", "source", {"kind": "thermal", "mean": _HUGE}),
+    ("source.modes", "source", {"kind": "multimode", "modes": _HUGE, "mean": 0.5}),
+    ("source.photons", "source", {"kind": "fock", "photons": _HUGE}),
+    ("source.n_max", "source", {"kind": "thermal", "mean": 0.5, "n_max": _HUGE}),
+    ("source.pair_dist", "source", {"kind": "custom", "pair_dist": [_HUGE, 0.5]}),
+    ("signal.efficiency", "signal", {"bins": 8, "efficiency": _HUGE}),
+    ("signal.efficiency_uncertainty", "signal", {"bins": 8, "efficiency_uncertainty": _HUGE}),
+    ("signal.bin_probs", "signal", {"bin_probs": [_HUGE, 0.5]}),
+]
+
+
+class TestNumbersOutOfRange:
+    """A number numpy cannot represent is bad input, with the documented exit code."""
+
+    @pytest.mark.parametrize("field, block, value", _HUGE_CONFIG_FIELDS, ids=[
+        field for field, _, _ in _HUGE_CONFIG_FIELDS
+    ])
+    def test_config_field(self, tmp_path, capsys, field, block, value):
+        doc = {"setup": "D", "shots": 100, "seed": 1, "source": {"kind": "poisson", "mean": 0.2}}
+        config = write_config(tmp_path / "config.json", doc | {block: value})
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["metrics", "fit"])
+    def test_document_vector(self, tmp_path, capsys, command):
+        doc_path = tmp_path / "doc.json"
+        write_json_doc(doc_path, {"format_version": 1, "distribution": [_HUGE, 0.5]})
+        assert run_cli(command, "--in", doc_path, "--out", tmp_path / "o") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "error: distribution entry" in err
+        assert "Traceback" not in err
+
+
+class TestManifest:
+    def test_run_command(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("replicate", "D", "--shots", 2_000, "--seed", 7, "--out", out) == EXIT_OK
+        manifest = read_json_doc(out / "manifest.json")
+        assert manifest["format_version"] == 1
+        assert manifest["tool"] == {"name": "tmdkit", "version": __version__}
+        assert manifest["command"] == "replicate D"
+        assert manifest["config"] == serialize_config(default_config("D", shots=2_000, seed=7))
+        assert manifest["seed"] == 7
+        assert manifest["inputs"] == []
+        written = sorted(str(path) for path in out.iterdir() if path.name != "manifest.json")
+        assert sorted(manifest["outputs"]) == written
+        assert manifest["duration_seconds"] >= 0.0
+
+    def test_document_command(self, tmp_path):
+        doc_path = tmp_path / "doc.json"
+        write_json_doc(doc_path, {"format_version": 1, "distribution": [0.5, 0.5]})
+        out = tmp_path / "out"
+        assert run_cli("metrics", "--in", doc_path, "--out", out) == EXIT_OK
+        manifest = read_json_doc(out / "manifest.json")
+        assert manifest["command"] == "metrics"
+        assert manifest["config"] == {"in": str(doc_path)}
+        assert manifest["seed"] is None
+        assert manifest["inputs"] == [str(doc_path)]
+        assert manifest["outputs"] == [str(out / "metrics.json")]
 
 
 class TestReplicate:

@@ -1,5 +1,6 @@
-"""Importing tmdkit loads numpy and the standard library, not scipy."""
+"""Importing tmdkit loads numpy and the standard library, not scipy; layers import downward."""
 
+import ast
 import json
 import os
 import subprocess
@@ -20,3 +21,12 @@ def test_import_loads_no_scipy():
     assert "tmdkit" in loaded
     scipy = [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
     assert scipy == [], f"import tmdkit loaded {len(scipy)} scipy modules, e.g. {scipy[:5]}"
+
+
+def test_simulator_does_not_import_the_analysis():
+    # calibration and reconstruction read click tables; the shot loop only makes them
+    tree = ast.parse((SRC / "tmdkit" / "montecarlo.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            assert "reconstruct" not in {name.rpartition(".")[2] for name in names}, ast.unparse(node)

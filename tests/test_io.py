@@ -17,7 +17,6 @@ from tmdkit import (
     ExperimentConfig,
     JointPhotonDistribution,
     PhotonDistribution,
-    RunManifest,
     SourceModel,
     TMDConfig,
     config_from_doc,
@@ -27,13 +26,11 @@ from tmdkit import (
     run_experiment,
     serialize_config,
     write_json_doc,
-    write_manifest,
     write_shots,
 )
 from tmdkit.io import (
     _SHOT_BLOCK_ROWS,
     _STOCK_LAYOUTS,
-    FORMAT_VERSION,
     atomic_write_text,
     jsonable,
     write_clicks_csv,
@@ -326,6 +323,8 @@ _OTHER_BLOCKS = [
     ("source", {"kind": "custom", "pair_dist": [1, "a"]}, "source.pair_dist must be a list of numbers"),
     ("source", {"kind": "custom", "pair_dist": 1.0}, "source.pair_dist must be a list of numbers"),
     ("source", {"kind": "custom"}, "missing required field 'pair_dist' in source"),
+    ("source", {"kind": "custom", "pair_dist": [0.5, 0.5], "n_max": 9},
+     "source.n_max does not apply to a custom source; pair_dist sets its truncation"),
     ("source", {"kind": "fock", "photons": 3, "n_max": 2}, "source: Fock photon number 3 exceeds n_max=2"),
     ("signal", {"bin_probs": [0.5, "a"]}, "signal.bin_probs must be a list of numbers"),
     ("idler", {"bin_probs": {"0": 1.0}}, "idler.bin_probs must be a list of numbers"),
@@ -674,24 +673,3 @@ class TestTableFiles:
         assert lines[5] == f"1,0,4,{4 / 66!r}"
         assert lines[12] == f"2,3,11,{11 / 66!r}"
 
-
-class TestManifest:
-    def test_document_shape(self, tmp_path):
-        manifest = RunManifest(
-            command="simulate",
-            config={"setup": "D"},
-            seed=7,
-            version="1.0.0",
-            inputs=("config.json",),
-            outputs=("out.json",),
-            duration_seconds=0.25,
-        )
-        path = tmp_path / "manifest.json"
-        write_manifest(path, manifest)
-        doc = read_json_doc(path)
-        assert doc["format_version"] == FORMAT_VERSION
-        assert doc["tool"]["name"] == "tmdkit"
-        assert doc["command"] == "simulate"
-        assert doc["inputs"] == ["config.json"]
-        assert doc["outputs"] == ["out.json"]
-        assert doc["seed"] == 7

