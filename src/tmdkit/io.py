@@ -25,7 +25,7 @@ from .detector import MAX_BINS, TMDConfig
 from .errors import ConfigError, DataFormatError, DomainError, TmdkitError
 from .montecarlo import SETUPS, ExperimentConfig, _click_histogram
 from .sources import SourceModel
-from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
+from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution, default_n_max
 
 FORMAT_VERSION = 1
 
@@ -41,9 +41,12 @@ _SOURCE_KINDS = {
     "poisson": (SourceModel.poissonian_pairs, ("mean",)),
     "fock": (SourceModel.fock_pairs, ("photons",)),
 }
-_SOURCE_KEYS = {"kind", "n_max", "pair_dist"}.union(*(row[1] for row in _SOURCE_KINDS.values()))
-# Least value of each integer source parameter; every other parameter is a mean.
-_SOURCE_COUNTS = {"modes": 1, "photons": 0}
+# Config integers become numpy sizes and indices; a photon number or
+# cutoff (n_max) a config gives or implies is at most MAX_PHOTONS.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+MAX_PHOTONS = 4096
+# Least and greatest value of each integer source parameter; every other parameter is a mean.
+_SOURCE_COUNTS = {"modes": (1, _INT64_MAX), "photons": (0, MAX_PHOTONS)}
 
 # Stock layouts: the source, then (bins, efficiency) of the signal and
 # idler detectors.  Sources and efficiencies follow the reference
@@ -180,14 +183,13 @@ def _require(doc: dict, field: str, where: str) -> Any:
     return doc[field]
 
 
-def _count(value: Any, name: str, least: int) -> int:
-    """``value`` as an integer of at least ``least`` (0 or 1), else ConfigError naming ``name``."""
+def _count(value: Any, name: str, least: int, most: int = _INT64_MAX) -> int:
+    """``value`` as an integer in [least, most], else ConfigError naming ``name``; least is 0 or 1."""
     if not _is_int(value) or value < least:
         rule = "a positive" if least else "a non-negative"
         raise ConfigError(f"{name} must be {rule} integer")
-    # config integers become numpy sizes and indices
-    if value > np.iinfo(np.int64).max:
-        raise ConfigError(f"{name} must fit a signed 64-bit integer")
+    if value > most:
+        raise ConfigError(f"{name} must be at most {most}")
     return int(value)
 
 
@@ -201,7 +203,7 @@ def _numbers(value: Any, name: str) -> np.ndarray:
 def _source_parameter(doc: dict, name: str) -> int | float:
     value = _require(doc, name, "source")
     if name in _SOURCE_COUNTS:
-        return _count(value, f"source.{name}", _SOURCE_COUNTS[name])
+        return _count(value, f"source.{name}", *_SOURCE_COUNTS[name])
     if not _is_real(value) or not math.isfinite(value) or value < 0:
         raise ConfigError(f"source.{name} must be a finite non-negative number")
     return float(value)
@@ -210,24 +212,29 @@ def _source_parameter(doc: dict, name: str) -> int | float:
 def _parse_source(doc: Any) -> SourceModel:
     if not isinstance(doc, dict):
         raise ConfigError("source must be an object")
-    _reject_unknown(doc, _SOURCE_KEYS, "source")
     kind = _require(doc, "kind", "source")
     kinds = (*_SOURCE_KINDS, "custom")
     if kind not in kinds:
         raise ConfigError(f"source.kind must be one of {kinds}, got {kind!r}")
-    n_max = doc.get("n_max")
-    if n_max is not None:
-        if kind == "custom":
-            raise ConfigError(
-                "source.n_max does not apply to a custom source; pair_dist sets its truncation"
-            )
-        n_max = _count(n_max, "source.n_max", 0)
+    if kind == "custom" and "n_max" in doc:
+        raise ConfigError(
+            "source.n_max does not apply to a custom source; pair_dist sets its truncation"
+        )
+    constructor, params = _SOURCE_KINDS.get(kind, (None, ("pair_dist",)))
+    _reject_unknown(doc, {"kind", "n_max", *params}, "source")
     try:
         if kind == "custom":
             pair_dist = _numbers(_require(doc, "pair_dist", "source"), "source.pair_dist")
             return SourceModel(PhotonDistribution(pair_dist), "custom")
-        constructor, params = _SOURCE_KINDS[kind]
-        return constructor(*(_source_parameter(doc, name) for name in params), n_max)
+        n_max = doc.get("n_max")
+        if n_max is not None:
+            n_max = _count(n_max, "source.n_max", 0, MAX_PHOTONS)
+        args = [_source_parameter(doc, name) for name in params]
+        # the cutoff a mean implies is bounded like a given one
+        if n_max is None and "mean" in params:
+            if args[-1] > MAX_PHOTONS or default_n_max(args[-1]) > MAX_PHOTONS:
+                raise ConfigError(f"source.mean {args[-1]!r} implies an n_max above {MAX_PHOTONS}")
+        return constructor(*args, n_max)
     except DomainError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
@@ -249,7 +256,7 @@ def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, flo
         raise ConfigError(f"{arm}.efficiency_uncertainty must lie in [0, 1)")
     n_max = doc.get("n_max")
     if n_max is not None:
-        n_max = _count(n_max, f"{arm}.n_max", 0)
+        n_max = _count(n_max, f"{arm}.n_max", 0, MAX_PHOTONS)
     try:
         if "bin_probs" in doc:
             probs = _numbers(doc["bin_probs"], f"{arm}.bin_probs")

@@ -121,17 +121,20 @@ def _pair_cdf(source: SourceModel) -> np.ndarray:
 
 
 def _sample_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    draws = rng.random(size)
-    return np.searchsorted(cdf, draws, side="right").clip(0, cdf.size - 1)
+    # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size
+    return np.searchsorted(cdf, rng.random(size), side="right")
 
 
 def _readout(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig) -> np.ndarray:
     """Scatter detected photons over the bins of one detector; bit i set means bin i clicked."""
     if tmd.bins == 1:
         return (photons > 0).astype(np.uint32)
-    occupancy = rng.multinomial(photons, tmd.bin_probs)
-    bits = np.uint32(1) << np.arange(tmd.bins, dtype=np.uint32)
-    return ((occupancy > 0) @ bits).astype(np.uint32)
+    # only lit shots are scattered: a draw of zero photons takes nothing from the stream
+    lit = np.flatnonzero(photons)
+    occupancy = rng.multinomial(photons[lit], tmd.bin_probs)
+    masks = np.zeros(photons.size, dtype=np.uint32)
+    masks[lit] = (occupancy > 0) @ (np.uint32(1) << np.arange(tmd.bins, dtype=np.uint32))
+    return masks
 
 
 def _click_histogram(masks: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:

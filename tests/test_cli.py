@@ -323,14 +323,22 @@ _HUGE_CONFIG_FIELDS = [
     ("signal.efficiency_uncertainty", "signal", {"bins": 8, "efficiency_uncertainty": _HUGE}),
     ("signal.bin_probs", "signal", {"bin_probs": [_HUGE, 0.5]}),
 ]
+# (field, block, value): photon numbers an int64 holds but no array does
+_PAST_CUTOFF_FIELDS = [
+    ("source.photons", "source", {"kind": "fock", "photons": 2**62}),
+    ("source.n_max", "source", {"kind": "thermal", "mean": 0.5, "n_max": 2**62}),
+    ("source.mean", "source", {"kind": "thermal", "mean": 1e300}),
+    ("signal.n_max", "signal", {"bins": 8, "n_max": 2**62}),
+    ("idler.n_max", "idler", {"bins": 8, "n_max": 2**63 - 1}),
+]
 
 
 class TestNumbersOutOfRange:
     """A number numpy cannot represent is bad input, with the documented exit code."""
 
-    @pytest.mark.parametrize("field, block, value", _HUGE_CONFIG_FIELDS, ids=[
+    @pytest.mark.parametrize("field, block, value", _HUGE_CONFIG_FIELDS + _PAST_CUTOFF_FIELDS, ids=[
         field for field, _, _ in _HUGE_CONFIG_FIELDS
-    ])
+    ] + [f"{field} past MAX_PHOTONS" for field, _, _ in _PAST_CUTOFF_FIELDS])
     def test_config_field(self, tmp_path, capsys, field, block, value):
         doc = {"setup": "D", "shots": 100, "seed": 1, "source": {"kind": "poisson", "mean": 0.2}}
         config = write_config(tmp_path / "config.json", doc | {block: value})

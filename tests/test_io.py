@@ -287,6 +287,7 @@ _CONFIG_MESSAGES = [
     ("source", "kind", ["thermal"], f"source.kind must be one of {_KINDS}, got ['thermal']"),
     ("source", "n_max", -1, "source.n_max must be a non-negative integer"),
     ("source", "n_max", 2.0, "source.n_max must be a non-negative integer"),
+    ("source", "n_max", 4097, "source.n_max must be at most 4096"),
     ("source", "mean", -0.5, "source.mean must be a finite non-negative number"),
     ("source", "mean", float("inf"), "source.mean must be a finite non-negative number"),
     ("source", "mean", "0.5", "source.mean must be a finite non-negative number"),
@@ -296,6 +297,7 @@ _CONFIG_MESSAGES = [
     ("signal", "bins", 0, "signal.bins must be a positive integer"),
     ("signal", "bins", 33, "signal: bins 33 outside [1, MAX_BINS=32]"),
     ("signal", "n_max", -1, "signal.n_max must be a non-negative integer"),
+    ("signal", "n_max", 4097, "signal.n_max must be at most 4096"),
     ("signal", "efficiency", "1", "signal.efficiency must be a number"),
     ("signal", "efficiency", 1.5, "signal: efficiency 1.5 outside [0, 1]"),
     ("signal", "efficiency_uncertainty", 1.0, "signal.efficiency_uncertainty must lie in [0, 1)"),
@@ -326,6 +328,10 @@ _OTHER_BLOCKS = [
     ("source", {"kind": "custom", "pair_dist": [0.5, 0.5], "n_max": 9},
      "source.n_max does not apply to a custom source; pair_dist sets its truncation"),
     ("source", {"kind": "fock", "photons": 3, "n_max": 2}, "source: Fock photon number 3 exceeds n_max=2"),
+    ("source", {"kind": "fock", "photons": 1, "mean": 9}, "unknown field 'mean' in source"),
+    ("source", {"kind": "custom", "pair_dist": [0.5, 0.5], "modes": 9}, "unknown field 'modes' in source"),
+    ("source", {"kind": "fock", "photons": 4097}, "source.photons must be at most 4096"),
+    ("source", {"kind": "thermal", "mean": 300.0}, "source.mean 300.0 implies an n_max above 4096"),
     ("signal", {"bin_probs": [0.5, "a"]}, "signal.bin_probs must be a list of numbers"),
     ("idler", {"bin_probs": {"0": 1.0}}, "idler.bin_probs must be a list of numbers"),
     ("idler", 8, "idler must be an object"),

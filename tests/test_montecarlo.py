@@ -1,5 +1,7 @@
 """Shot-by-shot simulation against the analytic click model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tmdkit import (
     SourceModel,
     TMDConfig,
     collective_forward,
+    default_config,
     forward,
     iter_shot_chunks,
     joint_forward,
@@ -18,6 +21,7 @@ from tmdkit import (
     run_experiment,
     simulate_klyshko,
 )
+from tmdkit.montecarlo import _readout
 from tmdkit.pipelines import _klyshko
 
 
@@ -239,6 +243,65 @@ class TestRunCollectiveExperiment:
     def test_rejects_two_detector_layouts(self):
         with pytest.raises(DomainError):
             run_collective_experiment(poisson_setup_d(shots=10))
+
+
+def _run_digest(config):
+    """sha256 of a run's histogram and kept masks, as little-endian int64."""
+    if config.setup == "C":
+        result = run_collective_experiment(config, keep_shots=True)
+        arrays = (result.clicks.counts.ravel(), result.masks)
+    else:
+        result = run_experiment(config, keep_shots=True)
+        arrays = (result.joint_clicks.counts.ravel(), result.signal_masks, result.idler_masks)
+    return hashlib.sha256(np.concatenate(arrays).astype("<i8").tobytes()).hexdigest()
+
+
+def _dense_readout(rng, photons, tmd):
+    """Reference readout: scatter every shot, lit or not."""
+    occupancy = rng.multinomial(photons, tmd.bin_probs)
+    bits = np.uint32(1) << np.arange(tmd.bins, dtype=np.uint32)
+    return ((occupancy > 0) @ bits).astype(np.uint32)
+
+
+_GUARD_SHOTS = 2 * CHUNK_SIZE + 1
+
+
+class TestStreamGuard:
+    """Fixed-seed runs are pinned bit for bit, so a change to the stream shows."""
+
+    @pytest.mark.parametrize("setup, expected", [
+        ("A", "0a2b27cd304ba160d87f1b42ccf127778939f6986b0449166cf17016c331073e"),
+        ("B", "c69231b1a91b9bffb8d07b091fdfe8c624b232011881d707ed43833f9a8a8996"),
+        ("C", "e9f7d7a690b98ec24af0fd6eb2cf14daa4cf8640602843ef1a242a865a472265"),
+        ("D", "eac0440da9108b011eaf92de0ae564075e212c970ceb39ef7d9ec6bfe6c698be"),
+    ])
+    def test_stock_layout(self, setup, expected):
+        assert _run_digest(default_config(setup, shots=_GUARD_SHOTS, seed=2024)) == expected
+
+    def test_bright_multimode_on_32_bins(self):
+        tmd = TMDConfig.uniform(32, efficiency=0.5)
+        config = ExperimentConfig(
+            source=SourceModel.multimode_pdc(4, 2.0),
+            setup="D",
+            tmd_signal=tmd,
+            tmd_idler=tmd,
+            shots=_GUARD_SHOTS,
+            seed=2024,
+        )
+        expected = "1aedeef3046aaf9939f14389094a41540dddb2e7770fe2aa6a5ddd95c2f54a14"
+        assert _run_digest(config) == expected
+
+    @pytest.mark.parametrize("kind", ["all zero", "all lit", "mixed"])
+    def test_readout_matches_dense_readout(self, kind):
+        draws = np.random.default_rng(17).poisson(0.3, size=10_000)
+        photons = {"all zero": draws * 0, "all lit": draws + 1, "mixed": draws}[kind]
+        tmd = TMDConfig.uniform(8)
+        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
+        masks = _readout(sparse_rng, photons, tmd)
+        assert masks.dtype == np.uint32
+        np.testing.assert_array_equal(masks, _dense_readout(dense_rng, photons, tmd))
+        # both took the same draws, so the rest of the stream is shared too
+        np.testing.assert_equal(sparse_rng.bit_generator.state, dense_rng.bit_generator.state)
 
 
 class TestCalibrationCounters:
