@@ -87,9 +87,6 @@ class TMDConfig:
             n_max = bins
         return cls(np.full(bins, 1.0 / bins), efficiency, n_max)
 
-    def with_efficiency(self, efficiency: float) -> "TMDConfig":
-        return TMDConfig(self.bin_probs, efficiency, self.n_max)
-
 
 def _column_stochastic(entries: np.ndarray) -> np.ndarray:
     """Check a detector stage and return it clipped to [0, 1] and read-only.

@@ -180,9 +180,7 @@ def _result_doc(recon: ReconstructionResult) -> dict:
     return {
         "probabilities": recon.dist.probs,
         "is_physical": recon.dist.is_physical,
-        "condition_number": recon.condition_number,
         "residual": recon.residual,
-        "method": recon.method,
     }
 
 

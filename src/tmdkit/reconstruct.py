@@ -4,9 +4,13 @@ The click model is linear, rho = C L(eta) p, so reconstruction is a
 least-squares inversion of the composite response.  For the default
 square system (n_max equal to the bin count) the two stages are
 triangular and are solved by back-substitution, which stays accurate
-even when the composite condition number is astronomically large at low
-efficiency.  An optional non-negativity-constrained solver is available
+at low efficiency where an SVD pseudo-inverse of the composite
+collapses.  An optional non-negativity-constrained solver is available
 for users who prefer a physical estimate over an unbiased one.
+
+Error bars of the direct estimate need no second inversion: loss stages
+compose, L(a) L(b) = L(ab), so the estimate's sensitivity to the
+calibrated efficiency is a closed form in the estimate itself.
 
 A joint signal-idler click matrix is the same problem with one detector
 per axis (signal rows, idler columns), so single-arm and joint data go
@@ -30,9 +34,6 @@ from .errors import (
 )
 from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
 
-# Central finite-difference step for the efficiency sensitivity.
-EFFICIENCY_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class CalibrationRecord:
@@ -46,12 +47,10 @@ class CalibrationRecord:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Reconstructed distribution together with inversion diagnostics."""
+    """Reconstructed distribution and the norm of its click-space residual."""
 
     dist: PhotonDistribution | JointPhotonDistribution
-    condition_number: float
     residual: float
-    method: str
 
 
 def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord:
@@ -163,7 +162,6 @@ def _invert(tmds: tuple[TMDConfig, ...], clicks, constrained: bool) -> Reconstru
     stages = [_stages(tmd) for tmd in tmds]
     rho, _ = _click_frequencies(tmds, clicks)
     composites = [conv @ loss for conv, loss in stages]
-    condition = math.prod(float(np.linalg.cond(composite)) for composite in composites)
     if constrained:
         # the composite of independent axes is their Kronecker product
         probs = _constrained_solve(functools.reduce(np.kron, composites), rho.ravel())
@@ -172,8 +170,7 @@ def _invert(tmds: tuple[TMDConfig, ...], clicks, constrained: bool) -> Reconstru
         probs, _ = _direct(stages, rho)
     residual = float(np.linalg.norm(_along_axes(composites, probs) - rho))
     dist_type = PhotonDistribution if probs.ndim == 1 else JointPhotonDistribution
-    method = "constrained" if constrained else "direct"
-    return ReconstructionResult(dist_type(probs), condition, residual, method)
+    return ReconstructionResult(dist_type(probs), residual)
 
 
 def invert_single(
@@ -216,11 +213,14 @@ def propagate_errors(
 
     Two independent contributions are summed: the multinomial counting
     covariance of the click frequencies pushed through the linearized
-    inverse, and the sensitivity to the calibrated efficiency scaled by
-    ``sigma_eta``.  ``clicks`` may be raw statistics (shot count taken
-    from them) or an exact click distribution, in which case ``shots``
-    sets the counting term; leaving it unset models the infinite-data
-    limit where only the efficiency term survives.
+    inverse, and the calibration term (sigma_eta / eta)^2 (G p)(G p)^T,
+    where p is the estimate and (G p)_n = n p_n - (n+1) p_{n+1}.  The
+    calibration term is the exact first-order sensitivity to the
+    efficiency, for square and rectangular detectors alike, and holds for
+    any efficiency above zero.  ``clicks`` may be raw statistics (shot
+    count taken from them) or an exact click distribution, in which case
+    ``shots`` sets the counting term; leaving it unset models the
+    infinite-data limit where only the efficiency term survives.
 
     Args:
         tmd: detector model used for the inversion.
@@ -254,14 +254,12 @@ def propagate_errors(
         covariance += jacobian @ freq_cov @ jacobian.T
 
     if sigma_eta > 0.0:
-        eta = tmd.efficiency
-        hi = min(1.0, eta + EFFICIENCY_FD_STEP)
-        lo = max(0.0, eta - EFFICIENCY_FD_STEP)
-        if lo <= 0.0:
-            raise ConditioningError("efficiency too small for a finite-difference sensitivity")
-        p_hi, _ = _direct([_stages(tmd.with_efficiency(hi))], rho)
-        p_lo, _ = _direct([_stages(tmd.with_efficiency(lo))], rho)
-        sensitivity = (p_hi - p_lo) / (hi - lo)
+        # loss stages compose, L(a) L(b) = L(ab), so dL/deta = G L / eta where
+        # (G p)_n = n p_n - (n+1) p_{n+1} commutes with L; the least-squares
+        # step before L^-1 does not depend on eta, so the estimate moves by
+        # -G p / eta, whose entries sum to zero and leave the total unchanged
+        flux = np.arange(size) * probs
+        sensitivity = (np.append(flux[1:], 0.0) - flux) / tmd.efficiency
         covariance += sigma_eta**2 * np.outer(sensitivity, sensitivity)
 
     return (covariance + covariance.T) / 2.0

@@ -122,6 +122,9 @@ class TestReconstruct:
         probs = np.asarray(doc["signal"]["probabilities"], dtype=float)
         assert probs.sum() == pytest.approx(1.0)
         assert len(doc["signal"]["sigma"]) == len(probs)
+        # the method is named once, at the top; no arm carries a condition number
+        for arm in ("joint", "signal", "idler"):
+            assert not {"method", "condition_number"} & set(doc[arm])
 
     def test_constrained_flag(self, tmp_path):
         out = tmp_path / "out"
@@ -294,7 +297,9 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("key, probs", [
         ("distribution", [0.25, 0.25]),
         ("joint", [[0.6, 0.0], [0.0, 0.5]]),
-    ], ids=["vector", "joint"])
+        # huge entries widen the tolerance only by the rounding of their sum
+        ("distribution", [1e9, -1e9]),
+    ], ids=["vector", "joint", "cancelling"])
     def test_unnormalized_distribution(self, tmp_path, capsys, command, key, probs):
         doc_path = tmp_path / "doc.json"
         write_json_doc(doc_path, {"format_version": 1, key: probs})

@@ -156,13 +156,6 @@ class TestTMDConfig:
         assert tmd.n_max == 4
         np.testing.assert_allclose(tmd.bin_probs, 0.25)
 
-    def test_with_efficiency_keeps_geometry(self):
-        tmd = TMDConfig.uniform(8, efficiency=0.2, n_max=6)
-        other = tmd.with_efficiency(0.9)
-        assert other.efficiency == 0.9
-        assert other.n_max == 6
-        np.testing.assert_array_equal(other.bin_probs, tmd.bin_probs)
-
     def test_equality_is_by_value(self):
         assert TMDConfig.uniform(2, efficiency=0.5) == TMDConfig.uniform(2, efficiency=0.5)
         assert TMDConfig.uniform(2, efficiency=0.5) != TMDConfig.uniform(2, efficiency=0.6)

@@ -61,9 +61,7 @@ class TestInvertSingle:
             dist = thermal_dist(0.6, bins)
             result = invert_single(tmd, forward(tmd, dist))
             np.testing.assert_allclose(result.dist.probs, dist.probs, atol=1e-10)
-            assert result.method == "direct"
             assert result.residual < 1e-10
-            assert result.condition_number > 1.0
 
     def test_square_roundtrip_survives_low_efficiency(self):
         # the composite condition number is astronomical here; the
@@ -83,7 +81,6 @@ class TestInvertSingle:
         tmd = TMDConfig.uniform(4, efficiency=0.4)
         dist = thermal_dist(0.5, 4)
         result = invert_single(tmd, forward(tmd, dist), constrained=True)
-        assert result.method == "constrained"
         assert result.dist.probs.min() >= 0.0
         np.testing.assert_allclose(result.dist.probs, dist.probs, atol=1e-6)
 
@@ -144,7 +141,6 @@ class TestInvertJoint:
         joint = twin_beam_joint(PhotonDistribution([0.7, 0.2, 0.1]))
         rho = joint_forward(tmd, tmd, joint)
         result = invert_joint(tmd, tmd, rho, constrained=True)
-        assert result.method == "constrained"
         assert result.dist.probs.min() >= 0.0
         np.testing.assert_allclose(result.dist.probs, joint.probs, atol=1e-6)
 
@@ -152,6 +148,20 @@ class TestInvertJoint:
         tmd = TMDConfig.uniform(4, efficiency=0.5)
         with pytest.raises(DomainError):
             invert_joint(tmd, tmd, np.ones((5, 4)) / 20.0)
+
+    def test_counted_8_bin_estimate_is_flagged_not_rejected(self):
+        # seed 57 gives entries near 1e7 whose renormalized sum misses 1 by
+        # 1.6e-9, the rounding of that sum; a flat 1e-9 tolerance raised here
+        rng = np.random.default_rng(57)
+        eta_s, eta_i = rng.uniform(0.2, 0.6, size=2)
+        joint = twin_beam_joint(thermal_dist(rng.uniform(0.2, 1.5), 16))
+        deep = [TMDConfig(np.full(8, 0.125), eta, 16) for eta in (eta_s, eta_i)]
+        law = joint_forward(*deep, joint).probs
+        counts = rng.multinomial(1_000_000, law.ravel() / law.sum()).reshape(law.shape)
+        tmd_s, tmd_i = (TMDConfig.uniform(8, efficiency=eta) for eta in (eta_s, eta_i))
+        result = invert_joint(tmd_s, tmd_i, ClickStatistics(counts, 1_000_000))
+        assert np.abs(result.dist.probs).max() > 1e6
+        assert not result.dist.is_physical
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_unequal_arms_factor_into_single_arm_inversions(self, constrained):
@@ -195,16 +205,26 @@ class TestPropagateErrors:
         large = propagate_errors(tmd, rho, sigma_eta=0.0, shots=10_000)
         np.testing.assert_allclose(small, 100.0 * large, atol=1e-15)
 
-    def test_efficiency_term_matches_explicit_sensitivity(self):
-        tmd = TMDConfig.uniform(4, efficiency=0.5)
-        rho = forward(tmd, thermal_dist(0.4, 4))
+    @pytest.mark.parametrize("counted", [False, True], ids=["exact", "counted"])
+    @pytest.mark.parametrize("n_max", [8, 5], ids=["square", "rectangular"])
+    @pytest.mark.parametrize("eta", [0.0274, 0.5, 0.97])
+    def test_efficiency_term_matches_explicit_sensitivity(self, eta, n_max, counted):
+        # the closed form against a central difference of the direct inverse
+        bin_probs = np.full(8, 0.125)
+        rho = forward(TMDConfig(bin_probs, eta, 8), thermal_dist(0.4, 8)).probs
+        if counted:
+            # frequencies, not ClickStatistics, so that no counting term enters
+            rho = np.random.default_rng(7).multinomial(1_000_000, rho / rho.sum()) / 1e6
         sigma = 0.009
-        cov = propagate_errors(tmd, rho, sigma_eta=sigma)
-        step = 1e-6
-        p_hi = invert_single(tmd.with_efficiency(0.5 + step), rho).dist.probs
-        p_lo = invert_single(tmd.with_efficiency(0.5 - step), rho).dist.probs
+        cov = propagate_errors(TMDConfig(bin_probs, eta, n_max), rho, sigma_eta=sigma)
+        step = 1e-6 * eta
+        p_hi = invert_single(TMDConfig(bin_probs, eta + step, n_max), rho).dist.probs
+        p_lo = invert_single(TMDConfig(bin_probs, eta - step, n_max), rho).dist.probs
         sens = (p_hi - p_lo) / (2.0 * step)
-        np.testing.assert_allclose(cov, sigma**2 * np.outer(sens, sens), atol=1e-12)
+        expected = sigma**2 * np.outer(sens, sens)
+        # relative to the largest entry: the difference quotient of entries
+        # near zero is rounding noise of the inverse divided by the step
+        np.testing.assert_allclose(cov, expected, rtol=0.0, atol=1e-7 * np.abs(expected).max())
 
     def test_click_statistics_supply_the_shot_count(self):
         tmd = TMDConfig.uniform(4, efficiency=0.6)
@@ -222,8 +242,9 @@ class TestPropagateErrors:
         with pytest.raises(DomainError):
             propagate_errors(tmd, rho, sigma_eta=0.0, shots=0)
 
-    def test_tiny_efficiency_cannot_be_differenced(self):
+    def test_tiny_efficiency_has_finite_covariance(self):
         tmd = TMDConfig.uniform(4, efficiency=5e-7)
         rho = forward(tmd, thermal_dist(0.4, 4))
-        with pytest.raises(ConditioningError):
-            propagate_errors(tmd, rho, sigma_eta=0.01)
+        cov = propagate_errors(tmd, rho, sigma_eta=1e-7)
+        assert np.all(np.isfinite(cov))
+        assert np.diag(cov).max() > 0.0

@@ -38,6 +38,11 @@ class TestPhotonDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             PhotonDistribution([0.5, 0.4])
+        with pytest.raises(DomainError):
+            PhotonDistribution([0.5, 0.49])
+        # the tolerance grows with the rounding of the sum, not with sum|p|
+        with pytest.raises(DomainError):
+            PhotonDistribution([1e9, -1e9])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
