@@ -15,7 +15,7 @@ from . import __version__
 from . import io as tmdio
 from . import pipelines
 from .errors import ConfigError, DataFormatError, TmdkitError
-from .montecarlo import SETUPS, ExperimentConfig
+from .montecarlo import SETUPS, ExperimentConfig, _worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,7 +97,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.command in ("metrics", "fit"):
         runner = pipelines.run_metrics_file if args.command == "metrics" else pipelines.run_fit_file
         output = runner(args.in_path, args.out)
-        echo, seed, inputs = {"in": str(args.in_path)}, None, [str(args.in_path)]
+        echo, seed, threads, inputs = {"in": str(args.in_path)}, None, None, [str(args.in_path)]
     else:
         config, inputs = _load_config(args)
         options = {
@@ -109,6 +109,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         else:
             output = pipelines.run_stage(args.command, config, args.out, **options)
         echo, seed = tmdio.serialize_config(config), config.seed
+        threads = _worker_count(config.shots)
     # provenance record tying the run's outputs to its exact inputs
     manifest = {
         "format_version": tmdio.FORMAT_VERSION,
@@ -116,6 +117,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         "command": f"replicate {args.setup}" if args.command == "replicate" else args.command,
         "config": echo,
         "seed": seed,
+        "threads": threads,
         "inputs": list(inputs),
         "outputs": list(output.paths),
         "duration_seconds": time.monotonic() - started,

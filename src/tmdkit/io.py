@@ -17,7 +17,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -355,6 +355,9 @@ def serialize_config(config: ExperimentConfig) -> dict:
 
 
 _SHOT_BLOCK_ROWS = 8192
+# characters per ``np.loadtxt`` call when a shot file is read; measured
+# level with one whole-file parse in time, at a fraction of its memory
+_PARSE_BLOCK_CHARS = 1 << 16
 
 
 def write_shots(
@@ -408,25 +411,43 @@ def ingest_shots(
             )
     path = Path(path)
     declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
-    fields, parsed = _parse_shots(path, declared) or _parse_shot_lines(path, declared)
+    try:
+        counts, rows, misfit = _count_shots(declared, _parse_shots(path, declared))
+    except (OSError, ValueError, Warning, DataFormatError):
+        counts, rows, misfit = _count_shots(declared, [_parse_shot_lines(path, declared)])
+    if misfit:
+        name, row, mask = misfit
+        raise DataFormatError(
+            f"{path} line {_file_line(path, row)}: mask {mask} does not fit {declared[name]} bins"
+        )
+    return ClickStatistics(counts, rows)
 
-    # a joint histogram is indexed (signal, idler) whatever the column order
-    masks, shape = [], []
-    for name, bins in declared.items():
-        if name not in fields:
-            continue
-        column = parsed[:, fields.index(name)]
-        bad = np.flatnonzero((column < 0) | (column >= (1 << bins)))
-        if bad.size:
-            row = int(bad[0])
-            raise DataFormatError(
-                f"{path} line {_file_line(path, row)}: mask {int(column[row])} "
-                f"does not fit {bins} bins"
-            )
-        masks.append(column)
-        shape.append(bins + 1)
-    counts = _click_histogram(tuple(masks), tuple(shape)).reshape(shape)
-    return ClickStatistics(counts, len(parsed))
+
+def _count_shots(
+    declared: dict[str, int | None], blocks: Iterable[tuple[list[str], np.ndarray]]
+) -> tuple[np.ndarray | None, int, tuple[str, int, int] | None]:
+    """Click histogram and row count of parsed shot blocks, and the first misfit.
+
+    The misfit is (arm, data row, mask) of the first mask that does not
+    fit its declared bins, in the signal arm before the idler arm; a run
+    with a misfit has no histogram.
+    """
+    histogram, rows, misfits = 0, 0, {}
+    for fields, parsed in blocks:
+        # a joint histogram is indexed (signal, idler) whatever the column order
+        names = [name for name in declared if name in fields]
+        masks = tuple(parsed[:, fields.index(name)] for name in names)
+        shape = tuple(declared[name] + 1 for name in names)
+        for name, column in zip(names, masks):
+            # a negative mask shifts to a negative number, so it is caught too
+            bad = np.flatnonzero(column >> declared[name])
+            if bad.size and name not in misfits:
+                misfits[name] = (name, rows + int(bad[0]), int(column[bad[0]]))
+        if not misfits:
+            histogram = histogram + _click_histogram(masks, shape)
+        rows += len(parsed)
+    misfit = next((misfits[name] for name in declared if name in misfits), None)
+    return (None if misfit else np.reshape(histogram, shape)), rows, misfit
 
 
 def _shot_fields(path: Path, header: str, declared: dict[str, int | None]) -> list[str]:
@@ -446,31 +467,32 @@ def _shot_fields(path: Path, header: str, declared: dict[str, int | None]) -> li
 
 def _parse_shots(
     path: Path, declared: dict[str, int | None]
-) -> tuple[list[str], np.ndarray] | None:
-    """Header fields and int64 rows of a well-formed shot file in one numpy parse.
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Header fields and int64 rows of a well-formed shot file, one ``np.loadtxt`` per block.
 
-    Returns None for anything ``np.loadtxt`` refuses or warns about, so
-    that ``_parse_shot_lines`` accepts or rejects the file.  The rows reach
-    ``loadtxt`` cut by ``str.splitlines``, the line loop's rule: ``loadtxt``
-    itself ends lines only at newlines and strips separators such as
-    "\\x1c" from field edges, so it would read "0\\x1c,1" as one row.
+    Raises OSError, ValueError, a Warning or DataFormatError on the first
+    block ``loadtxt`` refuses or warns about, so that ``_parse_shot_lines``
+    accepts or rejects the file.  The rows reach ``loadtxt`` cut by
+    ``str.splitlines``, the line loop's rule: ``loadtxt`` itself ends
+    lines only at newlines and strips separators such as "\\x1c" from
+    field edges, so it would read "0\\x1c,1" as one row.
     """
-    try:
-        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blocks = _line_blocks(handle)
-            first = next(blocks, [])
-            if not first:
-                return None
-            fields = _shot_fields(path, first[0].strip(), declared)
-            rows = itertools.chain(first[1:], itertools.chain.from_iterable(blocks))
-            parsed = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError, Warning, DataFormatError):
-        return None
-    return (fields, parsed) if parsed.shape[1] == len(fields) else None
+    with open(path, encoding="utf-8") as handle:
+        blocks = _line_blocks(handle)
+        first = next(blocks, [])
+        if not first:
+            raise ValueError("shot file without a header")
+        fields = _shot_fields(path, first[0].strip(), declared)
+        for lines in itertools.chain([first[1:]], blocks):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parsed = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            if parsed.shape[1] != len(fields):
+                raise ValueError("shot rows do not match the header")
+            yield fields, parsed
 
 
-def _line_blocks(handle: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
+def _line_blocks(handle: TextIO, size: int = _PARSE_BLOCK_CHARS) -> Iterator[list[str]]:
     """The lines of ``handle`` as ``str.splitlines`` cuts them, a block of lines at a time.
 
     Raises ValueError on text that ``loadtxt`` and ``int`` read differently:

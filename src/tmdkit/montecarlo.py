@@ -5,12 +5,17 @@ independent binomial loss, scatters the surviving photons over the
 detector bins, and records which bins clicked.  Sampling is chunked and
 each chunk gets its own counter-based stream keyed by the chunk index,
 so for a given seed and ``CHUNK_SIZE`` a run is reproducible no matter
-how the chunks are scheduled.
+how the chunks are scheduled: every usable core runs a share of them,
+and the outputs do not depend on how many cores there are.  Within a
+chunk each stage runs a block of ``_BLOCK`` shots at a time, in the
+chunk's stream order, so a chunk in flight holds little memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,6 +27,9 @@ from .sources import SourceModel
 from .stats import ClickStatistics
 
 CHUNK_SIZE = 1 << 16
+# shots per stage call within a chunk; splitting a draw into consecutive
+# calls takes the same draws in the same order, so outputs do not depend on it
+_BLOCK = 1 << 14
 
 # Detector arity per measurement layout: two threshold detectors for
 # calibration (A), threshold plus TMD for one marginal (B), one shared
@@ -114,6 +122,21 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(shots: int) -> int:
+    """Threads that simulate a run of ``shots``: one per usable core, at most one per chunk."""
+    return min(_usable_cores(), -(-shots // CHUNK_SIZE))
+
+
+def _blocks(size: int) -> list[slice]:
+    return [slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK)]
+
+
 def _pair_cdf(source: SourceModel) -> np.ndarray:
     cdf = np.cumsum(source.pair_dist.probs)
     cdf[-1] = 1.0
@@ -121,8 +144,20 @@ def _pair_cdf(source: SourceModel) -> np.ndarray:
 
 
 def _sample_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size
-    return np.searchsorted(cdf, rng.random(size), side="right")
+    # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size;
+    # the dtype also holds the merged survivors of two arms
+    pairs = np.empty(size, dtype=np.min_scalar_type(2 * cdf.size))
+    for block in _blocks(size):
+        pairs[block] = np.searchsorted(cdf, rng.random(block.stop - block.start), side="right")
+    return pairs
+
+
+def _thin(rng: np.random.Generator, pairs: np.ndarray, efficiency: float) -> np.ndarray:
+    """Independent binomial loss on every shot's pairs."""
+    photons = np.empty_like(pairs)
+    for block in _blocks(pairs.size):
+        photons[block] = rng.binomial(pairs[block], efficiency)
+    return photons
 
 
 def _readout(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig) -> np.ndarray:
@@ -137,35 +172,42 @@ def _readout(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig) -> n
     return masks
 
 
+def _read(rng: np.random.Generator, photons: np.ndarray, tmd: TMDConfig, out: np.ndarray) -> None:
+    """Write the click masks of every shot into ``out``."""
+    for block in _blocks(photons.size):
+        out[block] = _readout(rng, photons[block], tmd)
+
+
 def _click_histogram(masks: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
     """Flat histogram of click numbers over ``shape``, one mask array per axis.
 
     Shared by the simulation and by :func:`tmdkit.io.ingest_shots`; masks
-    must be non-negative and fit their axis.
+    must be non-negative and fit their axis.  Counts a block of shots at a time.
     """
-    index = np.bitwise_count(masks[0]).astype(np.int64)
-    for mask, width in zip(masks[1:], shape[1:]):
-        index = index * width + np.bitwise_count(mask)
-    return np.bincount(index, minlength=math.prod(shape))
+    histogram = np.zeros(math.prod(shape), dtype=np.int64)
+    for block in _blocks(masks[0].size):
+        index = np.bitwise_count(masks[0][block]).astype(np.int64)
+        for mask, width in zip(masks[1:], shape[1:]):
+            index = index * width + np.bitwise_count(mask[block])
+        histogram += np.bincount(index, minlength=histogram.size)
+    return histogram
 
 
 def _two_arm_masks(
-    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig
-) -> tuple[np.ndarray, ...]:
-    return tuple(
-        _readout(rng, rng.binomial(pairs, tmd.efficiency), tmd)
-        for tmd in (config.tmd_signal, config.tmd_idler)
-    )
+    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig, outs: list[np.ndarray]
+) -> None:
+    for tmd, out in zip((config.tmd_signal, config.tmd_idler), outs):
+        _read(rng, _thin(rng, pairs, tmd.efficiency), tmd, out)
 
 
 def _merged_masks(
-    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig
-) -> tuple[np.ndarray, ...]:
+    rng: np.random.Generator, pairs: np.ndarray, config: ExperimentConfig, outs: list[np.ndarray]
+) -> None:
     # each arm is thinned with its own efficiency before the survivors
     # share the one detector's bins
-    survivors = rng.binomial(pairs, config.tmd_signal.efficiency)
-    survivors = survivors + rng.binomial(pairs, config.tmd_idler.efficiency)
-    return (_readout(rng, survivors, config.tmd_signal),)
+    survivors = _thin(rng, pairs, config.tmd_signal.efficiency)
+    survivors += _thin(rng, pairs, config.tmd_idler.efficiency)
+    _read(rng, survivors, config.tmd_signal, outs[0])
 
 
 def _simulate(
@@ -176,29 +218,52 @@ def _simulate(
     The histogram has one axis per detector: (signal, idler) for the
     two-detector layouts, the shared detector alone for layout C.  With
     ``keep_shots`` the per-shot masks of each detector come back too.
+    Worker w of n runs chunks w, w + n, w + 2n, ...; the calling thread
+    is worker 0.  Each worker sums its own histogram and writes its
+    chunks' masks at their place in the run.
     """
     merged = config.setup == "C"
     readout = _merged_masks if merged else _two_arm_masks
     tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
     shape = tuple(tmd.bins + 1 for tmd in tmds)
     cdf = _pair_cdf(config.source)
-    histogram = np.zeros(math.prod(shape), dtype=np.int64)
     kept = [np.empty(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
+    chunks = list(iter_shot_chunks(config.shots))
+    workers = _worker_count(config.shots)
+    histograms = [np.zeros(math.prod(shape), dtype=np.int64) for _ in range(workers)]
+    errors: list[BaseException] = []
 
-    offset = 0
-    for chunk_index, size in iter_shot_chunks(config.shots):
-        rng = _chunk_rng(config.seed, chunk_index)
-        masks = readout(rng, _sample_pairs(rng, cdf, size), config)
-        histogram += _click_histogram(masks, shape)
-        if keep_shots:
-            for store, mask in zip(kept, masks):
-                store[offset : offset + size] = mask
-        offset += size
+    def work(worker: int) -> None:
+        # without kept masks, one chunk's masks are reused for the next
+        stores = kept or [np.empty(CHUNK_SIZE, dtype=np.uint32) for _ in tmds]
+        for chunk_index, size in chunks[worker::workers]:
+            offset = chunk_index * CHUNK_SIZE if keep_shots else 0
+            outs = [store[offset : offset + size] for store in stores]
+            rng = _chunk_rng(config.seed, chunk_index)
+            readout(rng, _sample_pairs(rng, cdf, size), config, outs)
+            histograms[worker] += _click_histogram(tuple(outs), shape)
+
+    def helper(worker: int) -> None:
+        try:
+            work(worker)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(worker,)) for worker in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     if keep_shots:
         for store in kept:
             store.flags.writeable = False
-    return histogram.reshape(shape), kept
+    return np.sum(histograms, axis=0).reshape(shape), kept
 
 
 def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> ExperimentResult:

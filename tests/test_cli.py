@@ -372,6 +372,7 @@ class TestManifest:
         assert manifest["command"] == "replicate D"
         assert manifest["config"] == serialize_config(default_config("D", shots=2_000, seed=7))
         assert manifest["seed"] == 7
+        assert manifest["threads"] == 1  # 2,000 shots are one chunk
         assert manifest["inputs"] == []
         written = sorted(str(path) for path in out.iterdir() if path.name != "manifest.json")
         assert sorted(manifest["outputs"]) == written
@@ -386,6 +387,7 @@ class TestManifest:
         assert manifest["command"] == "metrics"
         assert manifest["config"] == {"in": str(doc_path)}
         assert manifest["seed"] is None
+        assert manifest["threads"] is None
         assert manifest["inputs"] == [str(doc_path)]
         assert manifest["outputs"] == [str(out / "metrics.json")]
 

@@ -28,7 +28,9 @@ from tmdkit import (
     write_json_doc,
     write_shots,
 )
+import tmdkit.io as tmdio
 from tmdkit.io import (
+    _PARSE_BLOCK_CHARS,
     _SHOT_BLOCK_ROWS,
     _STOCK_LAYOUTS,
     atomic_write_text,
@@ -585,6 +587,83 @@ class TestIngestAgainstLineReading:
             outcome = ("error", str(exc))
         assert outcome == reference
         assert outcome[0] == "ok" if expected == "ok" else expected in outcome[1]
+
+
+def _ingest_outcome(path, **bins):
+    try:
+        stats = ingest_shots(path, **bins)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return "ok", stats.counts.tolist(), stats.total_shots
+
+
+def _two_arm_lines(rows):
+    return [f"{i},{i % 16},{i % 4}".encode() for i in range(rows)]
+
+
+TWO = b"shot_id,signal_mask,idler_mask\n"
+
+
+class TestIngestBlocks:
+    """A shot file is parsed one block at a time, with the line loop's outcome."""
+
+    def test_well_formed_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "shots.csv"
+        path.write_bytes(TWO + b"\n".join(_two_arm_lines(50_000)) + b"\n")
+        assert path.stat().st_size > 4 * _PARSE_BLOCK_CHARS
+        expected = reference_ingest(path, signal_bins=4, idler_bins=2)
+
+        def line_loop(*args):
+            raise AssertionError("fell back to the line loop")
+
+        monkeypatch.setattr(tmdio, "_parse_shot_lines", line_loop)
+        assert _ingest_outcome(path, signal_bins=4, idler_bins=2) == expected
+
+    def test_parse_error_in_a_later_block_wins_over_an_earlier_bad_mask(self, tmp_path):
+        lines = _two_arm_lines(50_000)
+        lines[3] = b"3,99,0"
+        lines[40_000] = b"40000,x,0"
+        path = tmp_path / "shots.csv"
+        path.write_bytes(TWO + b"\n".join(lines) + b"\n")
+        outcome = _ingest_outcome(path, signal_bins=4, idler_bins=2)
+        assert outcome == reference_ingest(path, signal_bins=4, idler_bins=2)
+        assert outcome[1].endswith("line 40002: non-integer field")
+
+    def test_bad_mask_past_the_first_block_names_its_line(self, tmp_path):
+        lines = _two_arm_lines(50_000)
+        # the idler misfit comes first in the file, but the signal arm is reported
+        lines[20_000] = b"20000,1,9"
+        lines[45_000] = b"\n\n45000,16,0"
+        path = tmp_path / "shots.csv"
+        path.write_bytes(TWO + b"\n".join(lines) + b"\n")
+        outcome = _ingest_outcome(path, signal_bins=4, idler_bins=2)
+        assert outcome == reference_ingest(path, signal_bins=4, idler_bins=2)
+        assert outcome[1].endswith("line 45004: mask 16 does not fit 4 bins")
+
+    @pytest.mark.parametrize("blank", [b"\n" * 200, b" \n" * 200, b"\n" * (2 * _PARSE_BLOCK_CHARS)])
+    def test_blank_lines_across_a_block_edge(self, tmp_path, blank):
+        # the blank run starts a little before the first block edge
+        lines = _two_arm_lines(20_000)
+        ends = len(TWO) + np.cumsum([len(line) + 1 for line in lines])
+        cut = int(np.searchsorted(ends, _PARSE_BLOCK_CHARS - 100)) + 1
+        data = TWO + b"\n".join(lines[:cut]) + b"\n" + blank + b"\n".join(lines[cut:]) + b"\n"
+        path = tmp_path / "shots.csv"
+        path.write_bytes(data)
+        outcome = _ingest_outcome(path, signal_bins=4, idler_bins=2)
+        assert outcome == reference_ingest(path, signal_bins=4, idler_bins=2)
+        assert outcome[0] == "ok" and outcome[2] == 20_000
+
+    def test_ingest_holds_one_block_at_a_time(self, tmp_path):
+        # one whole-file parse of these 200,000 rows peaks above 8 MB
+        path = tmp_path / "shots.csv"
+        path.write_bytes(TWO + b"\n".join(_two_arm_lines(200_000)) + b"\n")
+        tracemalloc.start()
+        try:
+            ingest_shots(path, signal_bins=4, idler_bins=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestWriteShotsBytes:

@@ -1,6 +1,8 @@
 """Shot-by-shot simulation against the analytic click model."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from tmdkit import (
     CHUNK_SIZE,
     DomainError,
     ExperimentConfig,
+    PhotonDistribution,
     SourceModel,
     TMDConfig,
     collective_forward,
@@ -21,7 +24,8 @@ from tmdkit import (
     run_experiment,
     simulate_klyshko,
 )
-from tmdkit.montecarlo import _readout
+from tmdkit import montecarlo
+from tmdkit.montecarlo import _BLOCK, _chunk_rng, _click_histogram, _pair_cdf, _readout, _sample_pairs
 from tmdkit.pipelines import _klyshko
 
 
@@ -302,6 +306,154 @@ class TestStreamGuard:
         np.testing.assert_array_equal(masks, _dense_readout(dense_rng, photons, tmd))
         # both took the same draws, so the rest of the stream is shared too
         np.testing.assert_equal(sparse_rng.bit_generator.state, dense_rng.bit_generator.state)
+
+
+def _bright(shots, seed=2024):
+    tmd = TMDConfig.uniform(32, efficiency=0.5)
+    return ExperimentConfig(
+        source=SourceModel.multimode_pdc(4, 2.0),
+        setup="D",
+        tmd_signal=tmd,
+        tmd_idler=tmd,
+        shots=shots,
+        seed=seed,
+    )
+
+
+def _layout(name, shots):
+    return _bright(shots) if name == "bright" else default_config(name, shots=shots, seed=2024)
+
+
+def _run_arrays(config, keep_shots=True):
+    """The histogram and, with ``keep_shots``, the kept masks of a run."""
+    if config.setup == "C":
+        result = run_collective_experiment(config, keep_shots)
+        return result.clicks.counts, result.masks
+    result = run_experiment(config, keep_shots)
+    return result.joint_clicks.counts, result.signal_masks, result.idler_masks
+
+
+def _serial_reference(config):
+    """Histogram and masks of one thread running every stage on a whole chunk in int64."""
+    cdf = _pair_cdf(config.source)
+    merged = config.setup == "C"
+    tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
+    masks = [[] for _ in tmds]
+    for chunk_index, size in iter_shot_chunks(config.shots):
+        rng = _chunk_rng(config.seed, chunk_index)
+        pairs = np.searchsorted(cdf, rng.random(size), side="right")
+        if merged:
+            survivors = rng.binomial(pairs, config.tmd_signal.efficiency)
+            survivors = survivors + rng.binomial(pairs, config.tmd_idler.efficiency)
+            masks[0].append(_readout(rng, survivors, config.tmd_signal))
+        else:
+            for arm, tmd in zip(masks, tmds):
+                arm.append(_readout(rng, rng.binomial(pairs, tmd.efficiency), tmd))
+    masks = [np.concatenate(arm) for arm in masks]
+    shape = tuple(tmd.bins + 1 for tmd in tmds)
+    index = np.ravel_multi_index(tuple(np.bitwise_count(arm) for arm in masks), shape)
+    return (np.bincount(index, minlength=np.prod(shape)).reshape(shape), *masks)
+
+
+def _assert_same_run(run, expected):
+    assert len(run) == len(expected)
+    for got, want in zip(run, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestWorkers:
+    """Chunks split over threads and stages split into blocks leave every output as it was."""
+
+    @pytest.mark.parametrize("layout", ["A", "B", "C", "D", "bright"])
+    def test_outputs_do_not_depend_on_the_core_count(self, monkeypatch, layout):
+        config = _layout(layout, shots=3 * CHUNK_SIZE + 321)
+        runs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda cores=cores: cores)
+            assert montecarlo._worker_count(config.shots) == cores
+            runs.append(_run_arrays(config))
+        for run in runs:
+            _assert_same_run(run, _serial_reference(config))
+        # without kept masks each worker reuses one chunk's buffers
+        np.testing.assert_array_equal(_run_arrays(config, keep_shots=False)[0], runs[0][0])
+
+    def test_worker_count(self, monkeypatch):
+        assert montecarlo._usable_cores() >= 1
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        assert montecarlo._worker_count(1) == 1
+        assert montecarlo._worker_count(2 * CHUNK_SIZE) == 2
+        assert montecarlo._worker_count(2 * CHUNK_SIZE + 1) == 3
+        assert montecarlo._worker_count(10 * CHUNK_SIZE) == 4
+
+    @pytest.mark.parametrize("shots", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("layout", ["A", "B", "C", "D", "bright"])
+    def test_block_edges(self, layout, shots):
+        config = _layout(layout, shots)
+        _assert_same_run(_run_arrays(config), _serial_reference(config))
+
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_click_histogram_matches_bincount(self, size):
+        rng = np.random.default_rng(size)
+        signal = rng.integers(0, 1 << 8, size=size).astype(np.uint32)
+        idler = rng.integers(0, 1 << 4, size=size).astype(np.uint32)
+        ones = [np.array([bin(mask).count("1") for mask in arm.tolist()]) for arm in (signal, idler)]
+        np.testing.assert_array_equal(
+            _click_histogram((signal,), (9,)), np.bincount(ones[0], minlength=9)
+        )
+        np.testing.assert_array_equal(
+            _click_histogram((signal, idler), (9, 5)),
+            np.bincount(ones[0] * 5 + ones[1], minlength=45),
+        )
+
+    def test_merged_survivors_beyond_one_byte(self):
+        # 200 pairs at efficiencies 0.7 and 0.9 leave about 320 survivors,
+        # which a one-byte count would wrap to about 64
+        probs = np.zeros(201)
+        probs[[150, 200]] = 0.5
+        config = ExperimentConfig(
+            source=SourceModel(PhotonDistribution(probs), "custom"),
+            setup="C",
+            tmd_signal=TMDConfig.uniform(32, efficiency=0.7),
+            tmd_idler=TMDConfig.uniform(32, efficiency=0.9),
+            shots=_BLOCK + 5,
+            seed=8,
+        )
+        cdf = _pair_cdf(config.source)
+        assert _sample_pairs(np.random.default_rng(0), cdf, 10).dtype == np.uint16
+        _assert_same_run(_run_arrays(config), _serial_reference(config))
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+        config = _layout("D", shots=9 * CHUNK_SIZE + 11)
+        runs = []
+        runner = threading.Thread(target=lambda: runs.append(_run_arrays(config)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        _assert_same_run(runs[0], _serial_reference(config))
+
+    def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        failed_in = []
+
+        def failing_rng(seed, chunk_index):
+            if chunk_index == 1:
+                failed_in.append(threading.current_thread())
+                raise RuntimeError("chunk 1 failed")
+            return _chunk_rng(seed, chunk_index)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            run_experiment(poisson_setup_d(shots=4 * CHUNK_SIZE))
+        [thread] = failed_in
+        assert thread is not threading.main_thread()
+        assert threading.active_count() == before
 
 
 class TestCalibrationCounters:
