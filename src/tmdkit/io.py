@@ -12,12 +12,12 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -355,9 +355,12 @@ def serialize_config(config: ExperimentConfig) -> dict:
 
 
 _SHOT_BLOCK_ROWS = 8192
-# characters per ``np.loadtxt`` call when a shot file is read; measured
-# level with one whole-file parse in time, at a fraction of its memory
+# bytes per parsed block of a shot file, each extended to the next newline;
+# as fast as 32 or 128 KiB (16 KiB is 1.5x slower), under 1 MB traced
 _PARSE_BLOCK_CHARS = 1 << 16
+# a shot-file field: ASCII digits after an optional minus sign, with the
+# whitespace around them that str.strip and int both remove
+_SHOT_FIELD = re.compile(r"[^\S\x1c-\x1f]*-?[0-9]+[^\S\x1c-\x1f]*")
 
 
 def write_shots(
@@ -381,16 +384,46 @@ def write_shots(
     length = columns[0].size
     if any(col.ndim != 1 or col.size != length for col in columns):
         raise DomainError("mask arrays must be 1-d and equally long")
-    # the "%d" rows np.savetxt writes, formatted a block of rows per call;
-    # each block is stacked on its own, so no whole-run table is built
-    row = ",".join(["%d"] * len(header)) + "\n"
+    # the "%d" rows np.savetxt writes, formatted a block of rows at a time,
+    # so no whole-run table is built
     with _atomic_open(path) as handle:
-        handle.write(",".join(header) + "\n")
+        handle.buffer.write((",".join(header) + "\n").encode())
         for start in range(0, length, _SHOT_BLOCK_ROWS):
             stop = min(start + _SHOT_BLOCK_ROWS, length)
             ids = np.arange(start, stop, dtype=np.int64)
-            block = np.column_stack([ids] + [col[start:stop].astype(np.int64) for col in columns])
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+            block = [ids] + [col[start:stop].astype(np.int64) for col in columns]
+            handle.buffer.write(_decimal_rows(block))
+
+
+def _decimal_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """Bytes of CSV rows of equally long int64 columns, each value as "%d" formats it.
+
+    The characters fill a cell matrix, a row per CSV row and a column per
+    character place, each value right-aligned in its field; the places
+    left of a value's leading digit hold 0 and are dropped.
+    """
+    cells = []
+    for column in columns:
+        negative = column < 0
+        if negative.any():
+            cells.append(negative * np.uint8(ord("-")))
+        # the two's complement magnitude in uint64, so -2**63 has one too
+        value = column.view(np.uint64).copy()
+        np.negative(value, out=value, where=negative)
+        # dividing uint32 is faster, and masks and shot ids nearly always fit
+        if value.max() <= np.iinfo(np.uint32).max:
+            value = value.astype(np.uint32)
+        digits = []
+        for place in range(len(str(value.max()))):
+            quotient = value // 10
+            digit = (value - quotient * 10).astype(np.uint8) + np.uint8(ord("0"))
+            digits.append(digit if place == 0 else digit * (value > 0))
+            value = quotient
+        cells += digits[::-1]
+        cells.append(np.full(column.size, ord(","), np.uint8))
+    cells[-1][:] = ord("\n")
+    table = np.stack(cells, axis=1)
+    return table[table != 0]
 
 
 def ingest_shots(
@@ -411,43 +444,29 @@ def ingest_shots(
             )
     path = Path(path)
     declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
-    try:
-        counts, rows, misfit = _count_shots(declared, _parse_shots(path, declared))
-    except (OSError, ValueError, Warning, DataFormatError):
-        counts, rows, misfit = _count_shots(declared, [_parse_shot_lines(path, declared)])
-    if misfit:
-        name, row, mask = misfit
-        raise DataFormatError(
-            f"{path} line {_file_line(path, row)}: mask {mask} does not fit {declared[name]} bins"
-        )
-    return ClickStatistics(counts, rows)
-
-
-def _count_shots(
-    declared: dict[str, int | None], blocks: Iterable[tuple[list[str], np.ndarray]]
-) -> tuple[np.ndarray | None, int, tuple[str, int, int] | None]:
-    """Click histogram and row count of parsed shot blocks, and the first misfit.
-
-    The misfit is (arm, data row, mask) of the first mask that does not
-    fit its declared bins, in the signal arm before the idler arm; a run
-    with a misfit has no histogram.
-    """
+    # a misfit is reported only once the whole file has parsed, the signal
+    # arm's first; a run with a misfit counts no histogram
     histogram, rows, misfits = 0, 0, {}
-    for fields, parsed in blocks:
-        # a joint histogram is indexed (signal, idler) whatever the column order
-        names = [name for name in declared if name in fields]
-        masks = tuple(parsed[:, fields.index(name)] for name in names)
-        shape = tuple(declared[name] + 1 for name in names)
-        for name, column in zip(names, masks):
+    for masks, lines in _shot_blocks(path, declared):
+        for name, column in masks.items():
             # a negative mask shifts to a negative number, so it is caught too
             bad = np.flatnonzero(column >> declared[name])
             if bad.size and name not in misfits:
-                misfits[name] = (name, rows + int(bad[0]), int(column[bad[0]]))
+                misfits[name] = (lines[bad[0]], column[bad[0]])
+        # a joint histogram is indexed (signal, idler) whatever the column order
+        shape = tuple(declared[name] + 1 for name in masks)
         if not misfits:
-            histogram = histogram + _click_histogram(masks, shape)
-        rows += len(parsed)
-    misfit = next((misfits[name] for name in declared if name in misfits), None)
-    return (None if misfit else np.reshape(histogram, shape)), rows, misfit
+            histogram = histogram + _click_histogram(tuple(masks.values()), shape)
+        rows += len(lines)
+    if not rows:
+        raise DataFormatError(f"{path}: no shots")
+    for name in declared:
+        if name in misfits:
+            line, mask = misfits[name]
+            raise DataFormatError(
+                f"{path} line {line}: mask {mask} does not fit {declared[name]} bins"
+            )
+    return ClickStatistics(np.reshape(histogram, shape), rows)
 
 
 def _shot_fields(path: Path, header: str, declared: dict[str, int | None]) -> list[str]:
@@ -465,83 +484,120 @@ def _shot_fields(path: Path, header: str, declared: dict[str, int | None]) -> li
     return fields
 
 
-def _parse_shots(
+def _shot_blocks(
     path: Path, declared: dict[str, int | None]
-) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Header fields and int64 rows of a well-formed shot file, one ``np.loadtxt`` per block.
+) -> Iterator[tuple[dict[str, np.ndarray], Sequence[int]]]:
+    """Int64 mask columns of a shot file and the file line of each row, a block at a time.
 
-    Raises OSError, ValueError, a Warning or DataFormatError on the first
-    block ``loadtxt`` refuses or warns about, so that ``_parse_shot_lines``
-    accepts or rejects the file.  The rows reach ``loadtxt`` cut by
-    ``str.splitlines``, the line loop's rule: ``loadtxt`` itself ends
-    lines only at newlines and strips separators such as "\\x1c" from
-    field edges, so it would read "0\\x1c,1" as one row.
+    Blocks of about ``_PARSE_BLOCK_CHARS`` bytes end at a newline.  A block
+    of plain rows is parsed with array operations, any other by the line
+    loop.  A non-UTF-8 byte anywhere in the file is reported before any
+    other fault, as a whole-file read reports it.
     """
-    with open(path, encoding="utf-8") as handle:
-        blocks = _line_blocks(handle)
-        first = next(blocks, [])
-        if not first:
-            raise ValueError("shot file without a header")
-        fields = _shot_fields(path, first[0].strip(), declared)
-        for lines in itertools.chain([first[1:]], blocks):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                parsed = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-            if parsed.shape[1] != len(fields):
-                raise ValueError("shot rows do not match the header")
-            yield fields, parsed
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
+    with handle:
+        blocks = iter(lambda: handle.read(_PARSE_BLOCK_CHARS) + handle.readline(), b"")
+        first = next(blocks, b"")
+        # the header is the first line as str.splitlines cuts it, whatever ends it
+        head = next(iter(_shot_text(path, first).splitlines(keepends=True)), "")
+        if not head:
+            raise DataFormatError(f"{path}: empty file, expected a header")
+        try:
+            fields = _shot_fields(path, head.strip(), declared)
+            names = [name for name in declared if name in fields]
+            columns = [fields.index(name) for name in names]
+            line = 2
+            for block in itertools.chain([first[len(head.encode()):]], blocks):
+                parsed = _plain_rows(block, len(fields), columns)
+                if parsed is None:
+                    text = _shot_text(path, block)
+                    parsed, lines, line = _parse_shot_lines(path, text, line, len(fields), columns)
+                else:
+                    lines = range(line, line + parsed.shape[1])
+                    line = lines.stop
+                if len(lines):
+                    yield dict(zip(names, parsed)), lines
+        except DataFormatError:
+            # a non-UTF-8 byte further on is reported instead, as a whole-file read would
+            for block in blocks:
+                _shot_text(path, block)
+            raise
 
 
-def _line_blocks(handle: TextIO, size: int = _PARSE_BLOCK_CHARS) -> Iterator[list[str]]:
-    """The lines of ``handle`` as ``str.splitlines`` cuts them, a block of lines at a time.
+def _shot_text(path: Path, block: bytes) -> str:
+    """A block of a shot file as text; a non-UTF-8 byte raises DataFormatError, placed in the file."""
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the whole-file read words the error with the byte's position in the file
+        _read_text(path, DataFormatError, f"shots {path}")
+        raise DataFormatError(f"cannot read shots {path}: {exc}") from exc
 
-    Raises ValueError on text that ``loadtxt`` and ``int`` read differently:
-    ``loadtxt`` strips "\\x1f" from field edges and takes some non-ASCII
-    letters for digits ("0,\\u01fe1" parses as 4621).
+
+def _plain_rows(block: bytes, width: int, columns: list[int]) -> np.ndarray | None:
+    """Int64 ``columns`` of a block of plain rows, one array row each; None for any other block.
+
+    Plain rows are ``width`` fields of 1 to 18 ASCII digits (so each holds
+    an int64), comma-separated and each ended by a newline or CRLF; the
+    line loop reads them to the same numbers.
     """
-    while block := handle.read(size):
-        block += handle.readline()  # end each block at a newline, so no line is cut in two
-        if not block.isascii() or "\x1f" in block:
-            raise ValueError("shot file text outside the fast parse")
-        yield block.splitlines()
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    chars = np.frombuffer(block, np.uint8)
+    digits = chars - np.uint8(ord("0"))
+    # every byte that is not a digit ends a field, and must be the comma
+    # or newline its place in the row calls for
+    ends = np.flatnonzero(digits > 9)
+    if ends.size % width:
+        return None
+    sizes = ends - np.concatenate(([-1], ends[:-1])) - 1
+    ends, sizes = ends.reshape(-1, width), sizes.reshape(-1, width)
+    separators = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    if (chars[ends] != separators).any() or not 1 <= sizes.min() <= sizes.max() <= 18:
+        return None
+    # Horner's rule, a place at a time from the last digit; a place left of
+    # a field's first digit adds nothing (its index may wrap to the block end)
+    ends, sizes = ends.T[columns], sizes.T[columns]
+    rows = digits[ends - 1].astype(np.int64)
+    for place in range(2, int(sizes.max()) + 1):
+        rows += digits[ends - place] * (sizes >= place) * np.int64(10 ** (place - 1))
+    return rows
 
 
-def _parse_shot_lines(path: Path, declared: dict[str, int | None]) -> tuple[list[str], np.ndarray]:
-    """Header fields and int64 rows of a shot file, one line at a time.
+def _parse_shot_lines(
+    path: Path, text: str, line: int, width: int, columns: list[int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Int64 ``columns`` of shot-file text that starts on file line ``line``, a line at a time.
 
     This loop defines the format and names the file line of each fault.
+    Returns the columns (one array row each), the file line of each shot
+    row, and the line after the text.
     """
-    lines = _read_text(path, DataFormatError, f"shots {path}").splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, expected a header")
-    fields = _shot_fields(path, lines[0].strip(), declared)
-
-    # blank lines are skipped, so data row k need not sit on file line k + 2
-    parsed = np.empty((len(lines) - 1, len(fields)), dtype=np.int64)
+    lines = text.splitlines()
+    parsed = np.empty((len(lines), width), dtype=np.int64)
+    numbers = np.empty(len(lines), dtype=np.int64)
     rows = 0
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    # blank lines are skipped, so data row k need not sit on file line k + 2
+    for number, row in enumerate(lines, start=line):
+        if not row.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != len(fields):
-            raise DataFormatError(f"{path} line {number}: expected {len(fields)} fields")
+        parts = row.split(",")
+        if len(parts) != width:
+            raise DataFormatError(f"{path} line {number}: expected {width} fields")
+        if not all(_SHOT_FIELD.fullmatch(part) for part in parts):
+            raise DataFormatError(f"{path} line {number}: non-integer field")
         try:
             parsed[rows] = [int(part) for part in parts]
-        except ValueError as exc:
-            raise DataFormatError(f"{path} line {number}: non-integer field") from exc
         except OverflowError as exc:
             raise DataFormatError(f"{path} line {number}: field outside the int64 range") from exc
+        numbers[rows] = number
         rows += 1
-    if not rows:
-        raise DataFormatError(f"{path}: no shots")
-    return fields, parsed[:rows]
-
-
-def _file_line(path: Path, row: int) -> int:
-    """File line (1-based) of data row ``row`` (0-based), counting the blank lines skipped."""
-    lines = _read_text(path, DataFormatError, f"shots {path}").splitlines()
-    numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
-    return numbers[row]
+    return parsed[:rows, columns].T, numbers[:rows], line + len(lines)
 
 
 def _write_table(path: str | Path, header: str, *columns: np.ndarray) -> None:

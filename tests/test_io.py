@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdkit import (
     SETUPS,
@@ -490,7 +492,8 @@ def reference_ingest(path, signal_bins=None, idler_bins=None):
 
     Returns ``("ok", counts, total)`` or ``("error", message)``.  Headers
     are assumed valid; every data line is cut, split and converted with
-    plain ``str`` and ``int`` operations.
+    plain ``str`` and ``int`` operations.  A field is ASCII ``-?[0-9]+``
+    with the whitespace around it that both ``str.strip`` and ``int`` remove.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -507,6 +510,8 @@ def reference_ingest(path, signal_bins=None, idler_bins=None):
         try:
             values = [int(part) for part in parts]
         except ValueError:
+            return "error", f"{path} line {number}: non-integer field"
+        if not all(_is_decimal(part.strip()) for part in parts):
             return "error", f"{path} line {number}: non-integer field"
         if not all(-(2**63) <= value < 2**63 for value in values):
             return "error", f"{path} line {number}: field outside the int64 range"
@@ -530,6 +535,11 @@ def reference_ingest(path, signal_bins=None, idler_bins=None):
     return "ok", counts.tolist(), len(rows)
 
 
+def _is_decimal(text):
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _long_file(rows=200_000, bad_row=None, bad_text=b""):
     """A one-arm shot file of ``rows`` rows, row ``bad_row`` replaced by ``bad_text``."""
     lines = [f"{i},{i % 16}".encode() for i in range(rows)]
@@ -543,9 +553,9 @@ SHOT_CASES = {
     # name: (file bytes, declared bins, what the line-by-line reading gives)
     "whitespace-only lines": (ONE + b"0,1\n   \n\t\n1,2\n", {"signal_bins": 4}, "ok"),
     "crlf": (b"shot_id,signal_mask,idler_mask\r\n0,1,2\r\n1,3,0\r\n", {"signal_bins": 4, "idler_bins": 2}, "ok"),
-    "plus sign": (ONE + b"0,+3\n", {"signal_bins": 4}, "ok"),
+    "plus sign": (ONE + b"0,+3\n", {"signal_bins": 4}, "line 2: non-integer"),
     "padded field": (ONE + b"0, 3 \n", {"signal_bins": 4}, "ok"),
-    "underscore": (ONE + b"0,1_0\n", {"signal_bins": 4}, "ok"),
+    "underscore": (ONE + b"0,1_0\n", {"signal_bins": 4}, "line 2: non-integer"),
     "hash in field": (ONE + b"0,1\n1,1#2\n", {"signal_bins": 4}, "line 3: non-integer"),
     "trailing comma": (ONE + b"0,1,\n", {"signal_bins": 4}, "line 2: expected 2"),
     "too few fields": (ONE + b"0,1\n1\n", {"signal_bins": 4}, "line 3: expected 2"),
@@ -559,7 +569,7 @@ SHOT_CASES = {
     "file separator inside a row": (ONE + b"0\x1c,1\n", {"signal_bins": 4}, "line 2: expected 2"),
     "unit separator": (ONE + b"0,\x1f1\n", {"signal_bins": 4}, "line 2: non-integer"),
     "non-ASCII letter": (ONE + "0,Ǿ1\n".encode(), {"signal_bins": 4}, "line 2: non-integer"),
-    "non-ASCII digit": (ONE + "0,١\n".encode(), {"signal_bins": 4}, "ok"),
+    "non-ASCII digit": (ONE + "0,١\n".encode(), {"signal_bins": 4}, "line 2: non-integer"),
     "long file": (_long_file(), {"signal_bins": 4}, "ok"),
     "bad row deep in a long file": (
         _long_file(bad_row=150_000, bad_text=b"150000,x"), {"signal_bins": 4}, "line 150002: non-integer"
@@ -569,6 +579,12 @@ SHOT_CASES = {
     ),
     "non-UTF-8 byte deep in a long file": (
         _long_file(bad_row=150_000, bad_text=b"150000,\xff"), {"signal_bins": 4}, "cannot read shots"
+    ),
+    # a whole-file read meets the byte before any line is parsed
+    "non-UTF-8 byte after a bad row": (
+        _long_file(bad_row=150_000, bad_text=b"150000,\xff").replace(b"\n100,4\n", b"\n100,x\n"),
+        {"signal_bins": 4},
+        "cannot read shots",
     ),
 }
 
@@ -653,6 +669,38 @@ class TestIngestBlocks:
         assert outcome == reference_ingest(path, signal_bins=4, idler_bins=2)
         assert outcome[0] == "ok" and outcome[2] == 20_000
 
+    def test_written_file_and_its_crlf_copy_never_reach_the_line_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        signal, idler = rng.integers(0, 256, size=(2, 30_000)).astype(np.uint32)
+        path = tmp_path / "shots.csv"
+        write_shots(path, signal_masks=signal, idler_masks=idler)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        expected = reference_ingest(path, signal_bins=8, idler_bins=8)
+
+        def line_loop(*args):
+            raise AssertionError("fell back to the line loop")
+
+        monkeypatch.setattr(tmdio, "_parse_shot_lines", line_loop)
+        assert _ingest_outcome(path, signal_bins=8, idler_bins=8) == expected
+        assert _ingest_outcome(crlf, signal_bins=8, idler_bins=8) == expected
+
+    @pytest.mark.parametrize("padded", [b" 3", "\u00a03".encode()], ids=["space", "no-break space"])
+    def test_refused_block_falls_back_alone(self, tmp_path, padded):
+        # only the block holding the padded field goes to the line loop, so the
+        # file is neither read whole nor tabulated whole
+        path = tmp_path / "shots.csv"
+        path.write_bytes(_long_file(bad_row=150_000, bad_text=b"150000," + padded))
+        tracemalloc.start()
+        try:
+            outcome = _ingest_outcome(path, signal_bins=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == reference_ingest(path, signal_bins=4)
+        assert outcome[0] == "ok"
+        assert peak < 4_000_000
+
     def test_ingest_holds_one_block_at_a_time(self, tmp_path):
         # one whole-file parse of these 200,000 rows peaks above 8 MB
         path = tmp_path / "shots.csv"
@@ -702,6 +750,82 @@ class TestWriteShotsBytes:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestShotFileProperties:
+    """Both halves of the shot-file path on drawn inputs (derandomized, so tier-1 stays fixed)."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_write_matches_savetxt(self, tmp_path_factory, data):
+        length = data.draw(st.integers(0, 2 * _SHOT_BLOCK_ROWS + 10), label="length")
+        arms = data.draw(st.sampled_from([("signal_mask",), ("idler_mask",), ("signal_mask", "idler_mask")]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        masks = {}
+        for name in arms:
+            dtype = data.draw(st.sampled_from([np.uint32, np.int64]), label="dtype")
+            info = np.iinfo(dtype)
+            # each value shifted right by a random count, so widths change within a block
+            column = rng.integers(info.min, info.max, size=length, dtype=dtype, endpoint=True)
+            column >>= rng.integers(0, info.bits, size=length).astype(dtype)
+            extremes = [0, 2**32 - 1] + ([-1, 2**62, -(2**63), 2**63 - 1] if dtype is np.int64 else [])
+            if length:
+                for value in data.draw(st.lists(st.sampled_from(extremes), max_size=6), label="extremes"):
+                    column[data.draw(st.integers(0, length - 1))] = value
+            if data.draw(st.booleans(), label="zero block"):
+                start = _SHOT_BLOCK_ROWS * data.draw(st.integers(0, length // _SHOT_BLOCK_ROWS))
+                column[start : start + _SHOT_BLOCK_ROWS] = 0
+            masks[name] = column
+        path = tmp_path_factory.mktemp("write") / "shots.csv"
+        write_shots(path, signal_masks=masks.get("signal_mask"), idler_masks=masks.get("idler_mask"))
+        table = np.column_stack(
+            [np.arange(length, dtype=np.int64)] + [masks[name].astype(np.int64) for name in arms]
+        )
+        expected = io.StringIO()
+        header = ",".join(("shot_id",) + arms)
+        np.savetxt(expected, table, fmt="%d", delimiter=",", header=header, comments="")
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_ingest_matches_line_reading(self, tmp_path_factory, data):
+        two = data.draw(st.booleans(), label="two arms")
+        rows = data.draw(st.sampled_from([20_000, 7_000, 5, 0]), label="rows")
+        lines = _two_arm_lines(rows) if two else [f"{i},{i % 16}".encode() for i in range(rows)]
+        # junk rows: one drawn field among valid ones, of digits only (empty,
+        # short, or near the int64 limit) so that the block stays plain, or
+        # of any drawn character; among the others also rows of any width
+        # and free text
+        plain = data.draw(st.booleans(), label="plain junk")
+        edges = ["9223372036854775807", "9223372036854775808", "18446744073709551616"]
+        field = st.one_of(
+            st.text("0123456789", max_size=3),
+            st.text("0123456789", min_size=17, max_size=20),
+            st.sampled_from(edges if plain else edges + ["-9223372036854775808", "+3", " 7 ", "-0"]),
+            st.text("0123456789" if plain else "0123456789\r -+x", max_size=4),
+        )
+        width = 3 if two else 2
+        junk = st.tuples(st.integers(0, width - 1), field).map(
+            lambda drawn: ",".join(drawn[1] if i == drawn[0] else "1" for i in range(width))
+        )
+        if not plain:
+            junk = st.one_of(
+                junk,
+                st.lists(field, min_size=1, max_size=4).map(",".join),
+                st.text("0123456789,\n\r -+x", max_size=40),
+            )
+        junk = junk.map(str.encode)
+        for at, text in data.draw(st.lists(st.tuples(st.integers(0, rows), junk), max_size=2), label="junk"):
+            lines.insert(at, text)
+        eol = data.draw(st.sampled_from([b"\n", b"\r\n"]), label="line end")
+        body = eol.join(lines) + data.draw(st.sampled_from([eol, b""])) + data.draw(junk, label="tail")
+        path = tmp_path_factory.mktemp("ingest") / "shots.csv"
+        path.write_bytes((TWO if two else ONE) + body)
+        assert rows < 20_000 or path.stat().st_size > 2 * _PARSE_BLOCK_CHARS
+        bins = {"signal_bins": data.draw(st.sampled_from([32, 4, 2]), label="signal bins")}
+        if two:
+            bins["idler_bins"] = data.draw(st.sampled_from([32, 2]), label="idler bins")
+        assert _ingest_outcome(path, **bins) == reference_ingest(path, **bins)
 
 
 class TestTableFiles:
