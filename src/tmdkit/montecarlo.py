@@ -31,9 +31,9 @@ CHUNK_SIZE = 1 << 16
 # calls takes the same draws in the same order, so outputs do not depend on it
 _BLOCK = 1 << 14
 
-# Detector arity per measurement layout: two threshold detectors for
-# calibration (A), threshold plus TMD for one marginal (B), one shared
-# TMD fed by both arms (C), one TMD per arm (D).
+# Measurement layouts.  Only C changes the simulation: it merges both arms
+# into one shared TMD.  Otherwise the letter names a stock config; the
+# detectors, not the letter, decide what the analysis chain runs.
 SETUPS = ("A", "B", "C", "D")
 
 
@@ -59,18 +59,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.setup not in SETUPS:
             raise DomainError(f"setup must be one of {SETUPS}, got {self.setup!r}")
-        bins_s = self.tmd_signal.bins
-        bins_i = self.tmd_idler.bins
-        if self.setup == "A" and not (bins_s == 1 and bins_i == 1):
-            raise DomainError("setup A uses a threshold detector (1 bin) on each arm")
-        if self.setup == "B" and (bins_s == 1) == (bins_i == 1):
-            raise DomainError("setup B pairs one threshold detector with one multi-bin TMD")
         if self.setup == "C" and not np.array_equal(
             self.tmd_signal.bin_probs, self.tmd_idler.bin_probs
         ):
             raise DomainError("setup C feeds both arms into one TMD; bin structures must match")
-        if self.setup == "D" and (bins_s < 2 or bins_i < 2):
-            raise DomainError("setup D uses a multi-bin TMD on each arm")
         if self.shots <= 0:
             raise DomainError("shots must be positive")
         if self.seed < 0:

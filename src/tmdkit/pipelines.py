@@ -4,12 +4,12 @@ Each runner writes deterministic JSON documents (plus CSV tables of the
 distributions) into an output directory and returns its primary
 document.  Every run simulates once and feeds one chain of stages
 (simulate, calibrate, reconstruct, fit, metrics): a stage command runs
-one of them, and ``replicate`` runs the ones its layout measures:
-
-  A  threshold detectors on both arms, coincidence calibration
-  B  threshold signal arm heralding a multi-bin idler measurement
-  C  both arms merged into one detector, pair-parity statistics
-  D  one multi-bin detector per arm, joint statistics
+one of them, and ``replicate`` runs every one the detectors call for
+(``_stages``).  A merged-beam run (layout C) inverts its shared
+detector.  Any other run is calibrated from its coincidences and
+inverts every multi-bin arm; a 1-bin arm only heralds the other.  With
+one multi-bin arm the run is also fitted, and with two it also gets
+the joint estimate and its metrics.
 
 Simulated count rates are reported per shot; multiply by the pulse
 repetition rate for rates per second.
@@ -185,7 +185,7 @@ def _result_doc(recon: ReconstructionResult) -> dict:
 
 
 def _arm_doc(
-    tmd: TMDConfig, clicks: ClickStatistics, sigma_eta: float, constrained: bool
+    tmd: TMDConfig, sigma_eta: float, clicks: ClickStatistics, constrained: bool
 ) -> dict:
     recon = invert_single(tmd, clicks, constrained=constrained)
     doc = {**_result_doc(recon), "mean": recon.dist.mean, "efficiency": tmd.efficiency}
@@ -203,6 +203,29 @@ def _collective_tmd(config: ExperimentConfig) -> TMDConfig:
     return TMDConfig(config.tmd_signal.bin_probs, eta, config.tmd_signal.n_max)
 
 
+def _detector(config: ExperimentConfig, arm: str) -> tuple[TMDConfig, float]:
+    """Detector model of an arm and the uncertainty of its efficiency."""
+    if arm == "collective":
+        return _collective_tmd(config), (config.sigma_eta_signal + config.sigma_eta_idler) / 2.0
+    return getattr(config, f"tmd_{arm}"), getattr(config, f"sigma_eta_{arm}")
+
+
+def _arms(config: ExperimentConfig) -> tuple[str, ...]:
+    """Arms a run inverts: the shared detector of merged beams, else every multi-bin arm."""
+    if config.setup == "C":
+        return ("collective",)
+    return tuple(arm for arm in ("signal", "idler") if _detector(config, arm)[0].bins > 1)
+
+
+def _stages(config: ExperimentConfig) -> tuple[str, ...]:
+    """Stages a run's detectors call for, in chain order."""
+    arms = _arms(config)
+    if arms == ("collective",):
+        return ("simulate", "reconstruct")
+    inverted = {0: (), 1: ("reconstruct", "fit"), 2: ("reconstruct", "metrics")}[len(arms)]
+    return ("simulate", "calibrate", *inverted)
+
+
 def _reconstruction_doc(
     config: ExperimentConfig,
     tables: dict[str, ClickStatistics],
@@ -215,22 +238,14 @@ def _reconstruction_doc(
         "config": tmdio.serialize_config(config),
         "method": "constrained" if constrained else "direct",
     }
-    if "collective" in tables:
-        tmd = _collective_tmd(config)
-        sigma_eta = (config.sigma_eta_signal + config.sigma_eta_idler) / 2.0
-        doc["collective"] = _arm_doc(tmd, tables["collective"], sigma_eta, constrained)
-        doc["collective"]["efficiency_note"] = (
-            "arm efficiencies averaged; exact only for balanced arms"
-        )
-        return doc
-    if config.setup == "D":
+    arms = _arms(config)
+    if len(arms) == 2:
         joint = invert_joint(config.tmd_signal, config.tmd_idler, tables["joint"], constrained)
         doc["joint"] = _result_doc(joint)
-    for arm, tmd, sigma_eta in (
-        ("signal", config.tmd_signal, config.sigma_eta_signal),
-        ("idler", config.tmd_idler, config.sigma_eta_idler),
-    ):
-        doc[arm] = _arm_doc(tmd, tables[arm], sigma_eta, constrained)
+    for arm in arms:
+        doc[arm] = _arm_doc(*_detector(config, arm), tables[arm], constrained)
+    if "collective" in doc:
+        doc["collective"]["efficiency_note"] = "arm efficiencies averaged; exact only for balanced arms"
     return doc
 
 
@@ -313,11 +328,18 @@ def _chain(
 
     Stages run in the fixed order simulate, calibrate, reconstruct, fit,
     metrics, whatever the order of ``stages``; fit and metrics read the
-    reconstruction, so they need it requested too.  Returns the stage
-    documents by stage name and appends every written path to ``paths``.
+    reconstruction, so they need it requested too.  A stage the detectors
+    do not call for raises :class:`DomainError` before anything runs.
+    Returns the stage documents by stage name and appends every written
+    path to ``paths``.
     """
-    if "calibrate" in stages and config.setup == "C":
-        raise DomainError("the merged-arm layout cannot measure coincidences; calibrate with A, B, or D")
+    called = _stages(config)
+    for stage in stages:
+        if stage not in called:
+            bins = f"{config.tmd_signal.bins}-bin signal, {config.tmd_idler.bins}-bin idler"
+            detectors = "merged arms" if config.setup == "C" else bins
+            message = f"the {stage} stage does not apply to these detectors ({detectors})"
+            raise DomainError(f"{message}; they call for {', '.join(called)}")
     out_dir = Path(out_dir)
     run = run_collective_experiment if config.setup == "C" else run_experiment
     result = run(config, keep_shots=emit_shots)
@@ -366,7 +388,8 @@ def run_stage(
 
     ``stage`` is "simulate", "calibrate" or "reconstruct";
     ``constrained`` affects only reconstruction and ``emit_shots`` only
-    the simulation stage.
+    the simulation stage.  A stage the config's detectors do not call
+    for raises :class:`DomainError` and writes nothing.
     """
     if stage not in _STAGE_COMMANDS:
         raise DomainError(f"stage must be one of {_STAGE_COMMANDS}, got {stage!r}")
@@ -393,7 +416,8 @@ def _extract(
 
 
 # Keys a document may carry a single distribution vector under, in order of preference.
-# The idler comes before the signal because it is the heralded arm, the 8-bin one of layout B.
+# A heralded chain's reconstruction carries one arm vector, so the idler-first order
+# matters only for ``--in`` documents that carry both arms.
 _VECTOR_KEYS = ("distribution", "collective", "idler", "signal")
 
 
@@ -426,67 +450,51 @@ def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     return RunOutput(doc, tuple(paths))
 
 
-def _summary_a(config: ExperimentConfig, docs: dict) -> dict:
+def _summary(config: ExperimentConfig, docs: dict) -> dict:
+    """Headline numbers of a run, read from its stage documents by the role of each arm."""
+    arms = _arms(config)
+    if arms == ("collective",):
+        collective = docs["reconstruct"]["collective"]
+        probs = np.asarray(collective["probabilities"], dtype=float)
+        odd_mass, even_mass = float(probs[1::2].sum()), float(probs[0::2].sum())
+        return {
+            "collective_probabilities": probs,
+            "collective_mean": collective["mean"],
+            "odd_mass": odd_mass,
+            "even_mass": even_mass,
+            "max_odd_entry": float(probs[1::2].max()),
+            "odd_to_even_ratio": odd_mass / even_mass if even_mass > 0 else "inf",
+        }
+    if len(arms) == 2:
+        joint, raw = docs["metrics"]["joint"], docs["metrics"]["raw"]
+        return {
+            "correlation": joint["correlation"],
+            "raw_correlation": raw["correlation"],
+            "squeezing_db": joint["squeezing_db"],
+            "raw_squeezing_db": raw["squeezing_db"],
+            "signal_mean": joint["signal_mean"],
+            "idler_mean": joint["idler_mean"],
+        }
     calibration = docs["calibrate"]
+    if not arms:
+        both = ("signal", "idler")
+        return {
+            **{f"klyshko_{arm}": calibration[arm]["efficiency"] for arm in both},
+            **{f"klyshko_{arm}_uncertainty": calibration[arm]["uncertainty"] for arm in both},
+            **{f"true_{arm}_efficiency": calibration[arm]["configured_efficiency"] for arm in both},
+        }
+    # a heralded run: keys are named after the arm that holds the TMD
+    (arm,) = arms
+    recon, fit = docs["reconstruct"][arm], docs["fit"]
     return {
-        "klyshko_signal": calibration["signal"]["efficiency"],
-        "klyshko_idler": calibration["idler"]["efficiency"],
-        "klyshko_signal_uncertainty": calibration["signal"]["uncertainty"],
-        "klyshko_idler_uncertainty": calibration["idler"]["uncertainty"],
-        "true_signal_efficiency": config.tmd_signal.efficiency,
-        "true_idler_efficiency": config.tmd_idler.efficiency,
-    }
-
-
-def _summary_b(config: ExperimentConfig, docs: dict) -> dict:
-    recon, fit = docs["reconstruct"], docs["fit"]
-    return {
-        "idler_mean": recon["idler"]["mean"],
-        "idler_probabilities": recon["idler"]["probabilities"],
-        "idler_sigma": recon["idler"].get("sigma"),
-        "klyshko_idler": docs["calibrate"]["idler"]["efficiency"],
+        f"{arm}_mean": recon["mean"],
+        f"{arm}_probabilities": recon["probabilities"],
+        f"{arm}_sigma": recon.get("sigma"),
+        f"klyshko_{arm}": calibration[arm]["efficiency"],
         "fit_poisson_residual": fit["poisson"]["residual_l2"],
         "fit_thermal_residual": fit["thermal"]["residual_l2"],
         "preferred_family": fit["preferred"],
     }
-
-
-def _summary_c(config: ExperimentConfig, docs: dict) -> dict:
-    collective = docs["reconstruct"]["collective"]
-    probs = np.asarray(collective["probabilities"], dtype=float)
-    odd = probs[1::2]
-    even = probs[0::2]
-    even_mass = float(even.sum())
-    odd_mass = float(odd.sum())
-    return {
-        "collective_probabilities": probs,
-        "collective_mean": collective["mean"],
-        "odd_mass": odd_mass,
-        "even_mass": even_mass,
-        "max_odd_entry": float(odd.max()),
-        "odd_to_even_ratio": odd_mass / even_mass if even_mass > 0 else "inf",
-    }
-
-
-def _summary_d(config: ExperimentConfig, docs: dict) -> dict:
-    metrics = docs["metrics"]
-    return {
-        "correlation": metrics["joint"]["correlation"],
-        "raw_correlation": metrics["raw"]["correlation"],
-        "squeezing_db": metrics["joint"]["squeezing_db"],
-        "raw_squeezing_db": metrics["raw"]["squeezing_db"],
-        "signal_mean": metrics["joint"]["signal_mean"],
-        "idler_mean": metrics["joint"]["idler_mean"],
-    }
-
-
-# Stages each layout's replicate runs, and the summary drawn from them.
-_LAYOUT_STAGES = {
-    "A": (("simulate", "calibrate"), _summary_a),
-    "B": (("simulate", "calibrate", "reconstruct", "fit"), _summary_b),
-    "C": (("simulate", "reconstruct"), _summary_c),
-    "D": (("simulate", "calibrate", "reconstruct", "metrics"), _summary_d),
-}
 
 
 def run_replicate(
@@ -495,24 +503,23 @@ def run_replicate(
     constrained: bool = False,
     emit_shots: bool = False,
 ) -> RunOutput:
-    """Chain every stage the configured layout measures.
+    """Chain every stage the configured detectors call for.
 
     Writes the config, then the stage documents of one simulation, so
     they are mutually consistent, then a summary that repeats only
     numbers already in the stage documents.
     """
     out_dir = Path(out_dir)
-    stages, summarize = _LAYOUT_STAGES[config.setup]
     paths: list[str] = []
     _write(out_dir, "config.json", tmdio.serialize_config(config), paths)
-    docs = _chain(config, out_dir, stages, paths, constrained, emit_shots)
+    docs = _chain(config, out_dir, _stages(config), paths, constrained, emit_shots)
     summary = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "summary",
         "setup": config.setup,
         "shots": config.shots,
         "seed": config.seed,
-        **summarize(config, docs),
+        **_summary(config, docs),
     }
     _write(out_dir, "summary.json", summary, paths)
     return RunOutput(summary, tuple(paths))

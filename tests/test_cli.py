@@ -144,6 +144,13 @@ class TestReconstruct:
         assert "efficiency_note" in doc["collective"]
 
 
+    def test_threshold_arms_are_not_inverted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("reconstruct", "--setup", "A", "--shots", 2_000, "--out", out) == EXIT_NUMERICAL
+        assert "the reconstruct stage does not apply" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
+
 class TestArgumentErrors:
     def test_needs_config_or_setup(self, tmp_path, capsys):
         assert run_cli("simulate", "--out", tmp_path / "out") == EXIT_CONFIG
@@ -484,6 +491,53 @@ class TestReplicate:
         assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
         for name in names:
             assert (again / name).read_bytes() == (stock / name).read_bytes(), name
+
+
+    @pytest.mark.parametrize("layout, written", [
+        ("A", ["calibration.json"]),
+        ("B", ["calibration.json", "reconstruction.json", "distribution_idler.csv", "fit.json"]),
+        ("C", ["reconstruction.json", "distribution_collective.csv"]),
+        ("D", [
+            "calibration.json",
+            "reconstruction.json",
+            "distribution_signal.csv",
+            "distribution_idler.csv",
+            "distribution_joint.csv",
+            "metrics.json",
+        ]),
+    ])
+    def test_files_each_layout_writes(self, tmp_path, layout, written):
+        # a 1-bin arm only heralds, so stock B inverts its idler alone
+        out = tmp_path / "out"
+        assert run_cli("replicate", layout, "--shots", 2_000, "--out", out) == EXIT_OK
+        clicks = ["clicks_collective.csv"] if layout == "C" else [
+            "clicks_signal.csv", "clicks_idler.csv", "clicks_joint.csv"
+        ]
+        common = ["config.json", "simulation.json", "summary.json", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(common + clicks + written)
+
+    def test_swapped_heralded_layout_reports_the_signal_arm(self, tmp_path):
+        config = write_config(tmp_path / "config.json", {
+            "setup": "B",
+            "shots": 20_000,
+            "seed": 7,
+            "source": {"kind": "thermal", "mean": 0.5},
+            "signal": {"bins": 8, "efficiency": 0.113},
+            "idler": {"bins": 1, "efficiency": 0.117},
+        })
+        out = tmp_path / "out"
+        assert run_cli("replicate", "B", "--config", config, "--out", out) == EXIT_OK
+        summary = read_json_doc(out / "summary.json")
+        assert {"signal_mean", "signal_probabilities", "signal_sigma", "klyshko_signal"} <= set(summary)
+        assert not [key for key in summary if "idler" in key]
+        recon = read_json_doc(out / "reconstruction.json")
+        assert "idler" not in recon
+        assert len(recon["signal"]["probabilities"]) == 9
+        assert summary["signal_probabilities"] == recon["signal"]["probabilities"]
+        alone = tmp_path / "fit"
+        write_json_doc(tmp_path / "signal.json", {"distribution": recon["signal"]["probabilities"]})
+        assert run_cli("fit", "--in", tmp_path / "signal.json", "--out", alone) == EXIT_OK
+        assert (alone / "fit.json").read_bytes() == (out / "fit.json").read_bytes()
 
 
 class TestStageCommandsMatchReplicate:

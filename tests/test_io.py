@@ -26,6 +26,7 @@ from tmdkit import (
     parse_config,
     read_json_doc,
     run_experiment,
+    run_replicate,
     serialize_config,
     write_json_doc,
     write_shots,
@@ -253,11 +254,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_doc(doc)
 
-    def test_layout_mismatch_is_a_config_error(self):
-        doc = self.minimal() | {"setup": "A"}
-        doc["idler"] = {"bins": 8}
-        with pytest.raises(ConfigError):
-            config_from_doc(doc)
+    def test_layout_letter_does_not_bound_the_detectors(self, tmp_path):
+        # setup A with two 8-bin arms runs the joint chain its detectors call for
+        doc = self.minimal() | {"setup": "A", "shots": 2_000, "source": {"kind": "thermal", "mean": 0.5}}
+        doc["signal"] = doc["idler"] = {"bins": 8, "efficiency": 0.5}
+        output = run_replicate(config_from_doc(doc), tmp_path)
+        assert "correlation" in output.primary
+        assert {"joint", "raw"} <= set(read_json_doc(tmp_path / "metrics.json"))
 
     def test_parse_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -26,7 +26,7 @@ from tmdkit import (
 )
 from tmdkit import montecarlo
 from tmdkit.montecarlo import _BLOCK, _chunk_rng, _click_histogram, _pair_cdf, _readout, _sample_pairs
-from tmdkit.pipelines import _klyshko
+from tmdkit.pipelines import _arms, _klyshko, _stages
 
 
 def poisson_setup_d(shots=100_000, seed=42):
@@ -67,27 +67,29 @@ class TestExperimentConfig:
                 seed=0,
             )
 
-    def test_calibration_layout_needs_threshold_detectors(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                source=SourceModel.fock_pairs(1),
-                setup="A",
-                tmd_signal=TMDConfig.uniform(4),
-                tmd_idler=TMDConfig.uniform(1),
-                shots=10,
-                seed=0,
-            )
+    def test_calibration_layout_with_a_tmd_runs_the_heralded_chain(self):
+        config = ExperimentConfig(
+            source=SourceModel.fock_pairs(1),
+            setup="A",
+            tmd_signal=TMDConfig.uniform(4),
+            tmd_idler=TMDConfig.uniform(1),
+            shots=10,
+            seed=0,
+        )
+        assert _arms(config) == ("signal",)
+        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "fit")
 
-    def test_single_tmd_layout_needs_one_threshold(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                source=SourceModel.fock_pairs(1),
-                setup="B",
-                tmd_signal=TMDConfig.uniform(4),
-                tmd_idler=TMDConfig.uniform(4),
-                shots=10,
-                seed=0,
-            )
+    def test_single_tmd_layout_with_two_tmds_runs_the_joint_chain(self):
+        config = ExperimentConfig(
+            source=SourceModel.fock_pairs(1),
+            setup="B",
+            tmd_signal=TMDConfig.uniform(4),
+            tmd_idler=TMDConfig.uniform(4),
+            shots=10,
+            seed=0,
+        )
+        assert _arms(config) == ("signal", "idler")
+        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "metrics")
 
     def test_shared_layout_needs_matching_bins(self):
         with pytest.raises(DomainError):
@@ -100,16 +102,17 @@ class TestExperimentConfig:
                 seed=0,
             )
 
-    def test_dual_layout_needs_two_tmds(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                source=SourceModel.fock_pairs(1),
-                setup="D",
-                tmd_signal=TMDConfig.uniform(1),
-                tmd_idler=TMDConfig.uniform(4),
-                shots=10,
-                seed=0,
-            )
+    def test_dual_layout_with_a_threshold_arm_runs_the_heralded_chain(self):
+        config = ExperimentConfig(
+            source=SourceModel.fock_pairs(1),
+            setup="D",
+            tmd_signal=TMDConfig.uniform(1),
+            tmd_idler=TMDConfig.uniform(4),
+            shots=10,
+            seed=0,
+        )
+        assert _arms(config) == ("idler",)
+        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "fit")
 
     def test_rejects_bad_run_parameters(self):
         good = dict(

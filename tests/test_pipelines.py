@@ -1,9 +1,21 @@
 """Analysis chains at the library level."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tmdkit import ConfigError, DomainError, write_json_doc
+from tmdkit import (
+    ClickStatistics,
+    ConfigError,
+    DomainError,
+    ExperimentResult,
+    TMDConfig,
+    read_json_doc,
+    run_experiment,
+    write_json_doc,
+)
+from tmdkit import pipelines
 from tmdkit.pipelines import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,
@@ -11,6 +23,7 @@ from tmdkit.pipelines import (
     default_config,
     run_fit_file,
     run_metrics_file,
+    run_replicate,
     run_stage,
 )
 
@@ -81,3 +94,76 @@ class TestRunners:
         if "idler" in doc:
             metrics = run_metrics_file(doc_path, tmp_path / "metrics").primary
             assert metrics["distribution"]["mean"] == pytest.approx(0.4)
+
+
+def swap_arms(config):
+    """The same experiment with the signal and idler detectors exchanged."""
+    return replace(
+        config,
+        tmd_signal=config.tmd_idler,
+        tmd_idler=config.tmd_signal,
+        sigma_eta_signal=config.sigma_eta_idler,
+        sigma_eta_idler=config.sigma_eta_signal,
+    )
+
+
+def swap_result(result):
+    """A run's click tables with the arms, and the joint table's axes, exchanged."""
+    joint = result.joint_clicks
+    return ExperimentResult(
+        signal_clicks=result.idler_clicks,
+        idler_clicks=result.signal_clicks,
+        joint_clicks=ClickStatistics(joint.counts.T, joint.total_shots),
+        signal_singles=result.idler_singles,
+        idler_singles=result.signal_singles,
+        coincidences=result.coincidences,
+    )
+
+
+class TestRoleRule:
+    """The chain follows the detectors of a run, not its layout letter."""
+
+    def test_swapped_heralded_layout_matches_stock_on_the_tmd_arm(self, tmp_path, monkeypatch):
+        stock = default_config("B", shots=20_000, seed=7)
+        clicks = run_experiment(stock)
+        run_replicate(stock, tmp_path / "stock")
+        monkeypatch.setattr(pipelines, "run_experiment", lambda config, keep_shots: swap_result(clicks))
+        run_replicate(swap_arms(stock), tmp_path / "swapped")
+
+        def read(run, name):
+            return read_json_doc(tmp_path / run / f"{name}.json")
+
+        stock_summary = read("stock", "summary")
+        assert "idler_probabilities" in stock_summary
+        renamed = {key.replace("idler", "signal"): value for key, value in stock_summary.items()}
+        assert read("swapped", "summary") == renamed
+        assert (tmp_path / "swapped" / "fit.json").read_bytes() == (tmp_path / "stock" / "fit.json").read_bytes()
+        recon = read("swapped", "reconstruction")
+        assert "idler" not in recon
+        assert recon["signal"] == read("stock", "reconstruction")["idler"]
+        calibration, stock_calibration = read("swapped", "calibration"), read("stock", "calibration")
+        assert calibration["signal"] == stock_calibration["idler"]
+        assert calibration["idler"] == stock_calibration["signal"]
+
+    def test_unequal_dual_layout_runs_the_joint_chain(self, tmp_path):
+        config = replace(
+            default_config("D", shots=20_000, seed=3), tmd_signal=TMDConfig.uniform(4, efficiency=0.3)
+        )
+        output = run_replicate(config, tmp_path)
+        recon = read_json_doc(tmp_path / "reconstruction.json")
+        assert np.asarray(recon["joint"]["probabilities"]).shape == (5, 9)
+        assert len(recon["signal"]["probabilities"]) == 5
+        assert len(recon["idler"]["probabilities"]) == 9
+        assert {"joint", "raw"} <= set(read_json_doc(tmp_path / "metrics.json"))
+        assert "correlation" in output.primary
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("stage, setup, detectors", [
+        ("calibrate", "C", "merged arms"),
+        ("reconstruct", "A", "1-bin signal, 1-bin idler"),
+    ])
+    def test_stage_the_detectors_do_not_call_for(self, tmp_path, stage, setup, detectors):
+        with pytest.raises(DomainError) as info:
+            run_stage(stage, default_config(setup, shots=100), tmp_path)
+        assert str(info.value).startswith(f"the {stage} stage does not apply to these detectors ({detectors})")
+        assert list(tmp_path.iterdir()) == []
