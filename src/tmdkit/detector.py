@@ -10,7 +10,7 @@ matrices acting on probability vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class TMDConfig:
     ``bin_probs`` holds the probability for a photon to land in each
     bin, ``efficiency`` the survival probability applied upstream of the
     bins, and ``n_max`` the photon-number cutoff the detector model is
-    built for.
+    built for.  The detector model is built on first use and kept, so
+    one object checks its stages once however often it is used.
     """
 
     bin_probs: np.ndarray
@@ -86,6 +87,13 @@ class TMDConfig:
         if n_max is None:
             n_max = bins
         return cls(np.full(bins, 1.0 / bins), efficiency, n_max)
+
+    @cached_property
+    def _model(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checked, read-only occupation, loss and response matrices, in that order."""
+        conv = convolution_matrix(self.bin_probs, self.n_max)
+        loss = loss_matrix(self.efficiency, self.n_max)
+        return conv, loss, _column_stochastic(conv @ loss)
 
 
 def _column_stochastic(entries: np.ndarray) -> np.ndarray:
@@ -168,9 +176,7 @@ def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
 
 def detector_response(tmd: TMDConfig) -> np.ndarray:
     """Composite click response: occupation matrix times loss matrix."""
-    conv = convolution_matrix(tmd.bin_probs, tmd.n_max)
-    loss = loss_matrix(tmd.efficiency, tmd.n_max)
-    return _column_stochastic(conv @ loss)
+    return tmd._model[2]
 
 
 def _padded(probs: np.ndarray, tmds: tuple[TMDConfig, ...], axes: tuple[str, ...]) -> np.ndarray:

@@ -133,13 +133,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
-def write_json_doc(path: str | Path, doc: dict) -> None:
-    """Serialize a result document deterministically and atomically."""
+def _json_text(doc: dict) -> str:
+    """A result document serialized deterministically."""
     payload = jsonable(doc)
     if not isinstance(payload, dict):
         raise DataFormatError("a JSON document must be an object at the top level")
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
-    atomic_write_text(path, text + "\n")
+    return text + "\n"
+
+
+def write_json_doc(path: str | Path, doc: dict) -> None:
+    """Serialize a result document deterministically and atomically."""
+    atomic_write_text(path, _json_text(doc))
 
 
 def _read_text(path: Path, error: type[TmdkitError], name: str) -> str:
@@ -600,13 +605,30 @@ def _parse_shot_lines(
     return parsed[:rows, columns].T, numbers[:rows], line + len(lines)
 
 
-def _write_table(path: str | Path, header: str, *columns: np.ndarray) -> None:
+def _table_text(header: str, *columns: np.ndarray) -> str:
     """CSV with one row per array index: the index, then each column's entry there."""
     values = [np.ravel(column).tolist() for column in columns]
     lines = [header]
     for row, index in enumerate(np.ndindex(np.shape(columns[0]))):
         lines.append(",".join([*map(str, index), *(repr(value[row]) for value in values)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _distribution_text(
+    dist: PhotonDistribution | JointPhotonDistribution, sigma: np.ndarray | None = None
+) -> str:
+    """The CSV table ``write_distribution_csv`` writes."""
+    if isinstance(dist, JointPhotonDistribution):
+        if sigma is not None:
+            raise DomainError("joint tables do not carry uncertainties")
+        return _table_text("signal_n,idler_n,probability", dist.probs)
+    if not isinstance(dist, PhotonDistribution):
+        raise DomainError("expected a photon distribution")
+    if sigma is None:
+        return _table_text("n,probability", dist.probs)
+    if np.shape(sigma) != dist.probs.shape:
+        raise DomainError("sigma length must match the distribution")
+    return _table_text("n,probability,sigma", dist.probs, np.asarray(sigma, dtype=float))
 
 
 def write_distribution_csv(
@@ -615,22 +637,16 @@ def write_distribution_csv(
     sigma: np.ndarray | None = None,
 ) -> None:
     """Tabulate a distribution for external plotting."""
-    if isinstance(dist, JointPhotonDistribution):
-        if sigma is not None:
-            raise DomainError("joint tables do not carry uncertainties")
-        _write_table(path, "signal_n,idler_n,probability", dist.probs)
-    elif not isinstance(dist, PhotonDistribution):
-        raise DomainError("expected a photon distribution")
-    elif sigma is None:
-        _write_table(path, "n,probability", dist.probs)
-    elif np.shape(sigma) != dist.probs.shape:
-        raise DomainError("sigma length must match the distribution")
-    else:
-        _write_table(path, "n,probability,sigma", dist.probs, np.asarray(sigma, dtype=float))
+    atomic_write_text(path, _distribution_text(dist, sigma))
+
+
+def _clicks_text(clicks: ClickStatistics) -> str:
+    """The CSV table ``write_clicks_csv`` writes."""
+    index = "clicks" if clicks.counts.ndim == 1 else "signal_clicks,idler_clicks"
+    return _table_text(f"{index},count,frequency", clicks.counts, clicks.frequencies)
 
 
 def write_clicks_csv(path: str | Path, clicks: ClickStatistics) -> None:
     """Tabulate a click histogram for external plotting."""
-    index = "clicks" if clicks.counts.ndim == 1 else "signal_clicks,idler_clicks"
-    _write_table(path, f"{index},count,frequency", clicks.counts, clicks.frequencies)
+    atomic_write_text(path, _clicks_text(clicks))
 

@@ -2,14 +2,15 @@
 
 Each runner writes deterministic JSON documents (plus CSV tables of the
 distributions) into an output directory and returns its primary
-document.  Every run simulates once and feeds one chain of stages
-(simulate, calibrate, reconstruct, fit, metrics): a stage command runs
-one of them, and ``replicate`` runs every one the detectors call for
-(``_stages``).  A merged-beam run (layout C) inverts its shared
-detector.  Any other run is calibrated from its coincidences and
-inverts every multi-bin arm; a 1-bin arm only heralds the other.  With
-one multi-bin arm the run is also fitted, and with two it also gets
-the joint estimate and its metrics.
+document.  It builds every file before it writes the first, so a run
+that fails writes nothing.  Every run simulates once and feeds one
+chain of stages (simulate, calibrate, reconstruct, fit, metrics): a
+stage command runs one of them, and ``replicate`` runs every one the
+detectors call for (``_stages``).  A merged-beam run (layout C)
+inverts its shared detector.  Any other run is calibrated from its
+coincidences and inverts every multi-bin arm; a 1-bin arm only heralds
+the other.  With one multi-bin arm the run is also fitted, and with two
+it also gets the joint estimate and its metrics.
 
 Simulated count rates are reported per shot; multiply by the pulse
 repetition rate for rates per second.
@@ -17,6 +18,7 @@ repetition rate for rates per second.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,50 +290,66 @@ def _fit_doc(stored: dict) -> dict:
     return doc
 
 
-def _write(out_dir: Path, name: str, doc: dict, paths: list[str]) -> dict:
-    path = out_dir / name
-    tmdio.write_json_doc(path, doc)
-    paths.append(str(path))
-    return doc
+# A file of a run: its name in the output directory and what writes it there.
+_File = tuple[str, Callable[[Path], None]]
 
 
-def _write_distribution_tables(out_dir: Path, recon_doc: dict, paths: list[str]) -> None:
+def _text_file(name: str, text: str) -> _File:
+    return name, lambda path: tmdio.atomic_write_text(path, text)
+
+
+def _json_file(name: str, doc: dict) -> _File:
+    # serialized now, so a value JSON cannot hold fails before any file is written
+    return _text_file(name, tmdio._json_text(doc))
+
+
+def _write_files(out_dir: str | Path, files: list[_File]) -> tuple[str, ...]:
+    """Write a run's files in order, each built already; return their paths."""
+    paths = []
+    for name, write in files:
+        path = Path(out_dir) / name
+        write(path)
+        paths.append(str(path))
+    return tuple(paths)
+
+
+def _distribution_tables(recon_doc: dict) -> list[_File]:
+    files = []
     for arm in ("signal", "idler", "collective", "joint"):
         kind = JointPhotonDistribution if arm == "joint" else PhotonDistribution
         dist = _extract(recon_doc, (arm,), kind)
         if dist is None:
             continue
         sigma = recon_doc[arm].get("sigma")
-        path = out_dir / f"distribution_{arm}.csv"
-        tmdio.write_distribution_csv(path, dist, None if sigma is None else np.asarray(sigma))
-        paths.append(str(path))
+        text = tmdio._distribution_text(dist, None if sigma is None else np.asarray(sigma))
+        files.append(_text_file(f"distribution_{arm}.csv", text))
+    return files
 
 
-def _emit_shots(out_dir: Path, result: ExperimentResult | CollectiveResult, paths: list[str]) -> None:
-    path = out_dir / "shots.csv"
+def _shots_file(result: ExperimentResult | CollectiveResult) -> _File:
+    # streamed from the masks in memory when written, never held as text
     if isinstance(result, CollectiveResult):
-        tmdio.write_shots(path, signal_masks=result.masks)
+        masks = {"signal_masks": result.masks}
     else:
-        tmdio.write_shots(path, signal_masks=result.signal_masks, idler_masks=result.idler_masks)
-    paths.append(str(path))
+        masks = {"signal_masks": result.signal_masks, "idler_masks": result.idler_masks}
+    return "shots.csv", lambda path: tmdio.write_shots(path, **masks)
 
 
 def _chain(
     config: ExperimentConfig,
-    out_dir: str | Path,
     stages: tuple[str, ...],
-    paths: list[str],
     constrained: bool = False,
     emit_shots: bool = False,
-) -> dict[str, dict]:
-    """Simulate once, then build and write each requested stage from the click tables.
+) -> tuple[dict[str, dict], list[_File]]:
+    """Simulate once, then build each requested stage from the click tables.
 
     Stages run in the fixed order simulate, calibrate, reconstruct, fit,
     metrics, whatever the order of ``stages``; fit and metrics read the
     reconstruction, so they need it requested too.  A stage the detectors
     do not call for raises :class:`DomainError` before anything runs.
-    Returns the stage documents by stage name and appends every written
-    path to ``paths``.
+    Returns the stage documents by stage name and the files of the
+    stages in writing order; nothing is written here, so a stage that
+    fails leaves no file behind.
     """
     called = _stages(config)
     for stage in stages:
@@ -340,27 +358,29 @@ def _chain(
             detectors = "merged arms" if config.setup == "C" else bins
             message = f"the {stage} stage does not apply to these detectors ({detectors})"
             raise DomainError(f"{message}; they call for {', '.join(called)}")
-    out_dir = Path(out_dir)
     run = run_collective_experiment if config.setup == "C" else run_experiment
     result = run(config, keep_shots=emit_shots)
     tables = _click_tables(result)
     docs: dict[str, dict] = {}
+    files: list[_File] = []
+
+    def add(stage: str, name: str, doc: dict) -> None:
+        docs[stage] = doc
+        files.append(_json_file(name, doc))
+
     if "simulate" in stages:
-        docs["simulate"] = _write(out_dir, "simulation.json", _simulation_doc(config, tables), paths)
+        add("simulate", "simulation.json", _simulation_doc(config, tables))
         for arm, clicks in tables.items():
-            path = out_dir / f"clicks_{arm}.csv"
-            tmdio.write_clicks_csv(path, clicks)
-            paths.append(str(path))
+            files.append(_text_file(f"clicks_{arm}.csv", tmdio._clicks_text(clicks)))
         if emit_shots:
-            _emit_shots(out_dir, result, paths)
+            files.append(_shots_file(result))
     if "calibrate" in stages:
-        docs["calibrate"] = _write(out_dir, "calibration.json", _calibration_doc(config, tables), paths)
+        add("calibrate", "calibration.json", _calibration_doc(config, tables))
     if "reconstruct" in stages:
-        recon = _reconstruction_doc(config, tables, constrained)
-        docs["reconstruct"] = _write(out_dir, "reconstruction.json", recon, paths)
-        _write_distribution_tables(out_dir, recon, paths)
+        add("reconstruct", "reconstruction.json", _reconstruction_doc(config, tables, constrained))
+        files += _distribution_tables(docs["reconstruct"])
     if "fit" in stages:
-        docs["fit"] = _write(out_dir, "fit.json", _fit_doc(docs["reconstruct"]), paths)
+        add("fit", "fit.json", _fit_doc(docs["reconstruct"]))
     if "metrics" in stages:
         joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
         raw = JointPhotonDistribution(tables["joint"].frequencies)
@@ -370,8 +390,8 @@ def _chain(
             "joint": _joint_metrics(joint),
             "raw": _joint_metrics(raw),
         }
-        docs["metrics"] = _write(out_dir, "metrics.json", metrics, paths)
-    return docs
+        add("metrics", "metrics.json", metrics)
+    return docs, files
 
 
 _STAGE_COMMANDS = ("simulate", "calibrate", "reconstruct")
@@ -393,9 +413,8 @@ def run_stage(
     """
     if stage not in _STAGE_COMMANDS:
         raise DomainError(f"stage must be one of {_STAGE_COMMANDS}, got {stage!r}")
-    paths: list[str] = []
-    docs = _chain(config, out_dir, (stage,), paths, constrained, emit_shots)
-    return RunOutput(docs[stage], tuple(paths))
+    docs, files = _chain(config, (stage,), constrained, emit_shots)
+    return RunOutput(docs[stage], _write_files(out_dir, files))
 
 
 def _extract(
@@ -437,17 +456,13 @@ def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
         doc["distribution"] = _vector_metrics(vector)
     if joint is None and vector is None:
         raise DataFormatError("document carries neither a joint matrix nor a distribution vector")
-    paths: list[str] = []
-    _write(Path(out_dir), "metrics.json", doc, paths)
-    return RunOutput(doc, tuple(paths))
+    return RunOutput(doc, _write_files(out_dir, [_json_file("metrics.json", doc)]))
 
 
 def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
     """Fit the one-parameter families to a stored distribution document."""
     doc = _fit_doc(tmdio.read_json_doc(in_path))
-    paths: list[str] = []
-    _write(Path(out_dir), "fit.json", doc, paths)
-    return RunOutput(doc, tuple(paths))
+    return RunOutput(doc, _write_files(out_dir, [_json_file("fit.json", doc)]))
 
 
 def _summary(config: ExperimentConfig, docs: dict) -> dict:
@@ -507,12 +522,11 @@ def run_replicate(
 
     Writes the config, then the stage documents of one simulation, so
     they are mutually consistent, then a summary that repeats only
-    numbers already in the stage documents.
+    numbers already in the stage documents.  Every file is built before
+    the first is written, so a run that fails writes none.
     """
-    out_dir = Path(out_dir)
-    paths: list[str] = []
-    _write(out_dir, "config.json", tmdio.serialize_config(config), paths)
-    docs = _chain(config, out_dir, _stages(config), paths, constrained, emit_shots)
+    config_file = _json_file("config.json", tmdio.serialize_config(config))
+    docs, files = _chain(config, _stages(config), constrained, emit_shots)
     summary = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "summary",
@@ -521,5 +535,5 @@ def run_replicate(
         "seed": config.seed,
         **_summary(config, docs),
     }
-    _write(out_dir, "summary.json", summary, paths)
-    return RunOutput(summary, tuple(paths))
+    files = [config_file, *files, _json_file("summary.json", summary)]
+    return RunOutput(summary, _write_files(out_dir, files))

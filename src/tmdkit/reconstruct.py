@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import TMDConfig, _along_axes, convolution_matrix, loss_matrix
+from .detector import TMDConfig, _along_axes
 from .errors import (
     ConditioningError,
     DegenerateConditionError,
@@ -93,9 +93,7 @@ def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
             f"only {effective_bins} bins have non-zero probability; "
             f"rank is insufficient for n_max={tmd.n_max}"
         )
-    conv = convolution_matrix(tmd.bin_probs, tmd.n_max)
-    loss = loss_matrix(tmd.efficiency, tmd.n_max)
-    return conv, loss
+    return tmd._model[:2]
 
 
 def _solve_stages(conv: np.ndarray, loss: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -258,9 +258,15 @@ def thermal_probs(mean: float, n_max: int) -> np.ndarray:
     if mean == 0.0:
         p = (n == 0).astype(float)
     else:
-        # exp form avoids overflow for large means
-        p = np.exp(n * math.log(mean) - (n + 1.0) * math.log1p(mean))
-    return p / p.sum()
+        # exp form avoids overflow for large means:
+        # exp(n log(mean) - (n + 1) log1p(mean)), built in place
+        p = n * math.log(mean)
+        n += 1.0
+        n *= math.log1p(mean)
+        p -= n
+        np.exp(p, out=p)
+    p /= np.add.reduce(p)
+    return p
 
 
 def poisson_probs(mean: float, n_max: int) -> np.ndarray:
@@ -284,10 +290,14 @@ def negative_binomial_probs(mean: float, n_max: int, modes: float = math.inf) ->
     ratio = mean / n
     if not math.isinf(modes):
         ratio *= (n + (modes - 1.0)) / (modes + mean)
-    log_p = np.concatenate([[0.0], np.cumsum(np.log(ratio))])
+    p = np.zeros(n_max + 1)
+    np.log(ratio, out=p[1:])
+    np.add.accumulate(p[1:], out=p[1:])
     # shift by the largest term so large means do not overflow
-    p = np.exp(log_p - log_p.max())
-    return p / p.sum()
+    p -= np.maximum.reduce(p)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p)
+    return p
 
 
 def _golden_minimize(objective, lo: float, hi: float) -> float:
@@ -323,7 +333,9 @@ def _fit_family(dist: PhotonDistribution, family, name: str) -> FitResult:
     n_max = dist.n_max
 
     def objective(mu: float) -> float:
-        return float(np.linalg.norm(target - family(mu, n_max)))
+        # what np.linalg.norm computes for a float vector, without its overhead
+        r = target - family(mu, n_max)
+        return math.sqrt(r.dot(r))
 
     hi = max(1.0, 3.0 * max(moment(dist, 1), 0.0) + 1.0)
     for _ in range(8):

@@ -539,6 +539,23 @@ class TestReplicate:
         assert run_cli("fit", "--in", tmp_path / "signal.json", "--out", alone) == EXIT_OK
         assert (alone / "fit.json").read_bytes() == (out / "fit.json").read_bytes()
 
+    def test_failed_run_writes_no_file(self, tmp_path, capsys):
+        # one pair per shot on ideal detectors: both photon numbers are always 1,
+        # so the joint metrics fail after every other stage has been built
+        config = write_config(tmp_path / "config.json", {
+            "setup": "D",
+            "shots": 2_000,
+            "seed": 7,
+            "source": {"kind": "fock", "photons": 1},
+            "signal": {"bins": 8, "efficiency": 1.0},
+            "idler": {"bins": 8, "efficiency": 1.0},
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("replicate", "D", "--config", config, "--out", out) == EXIT_NUMERICAL
+        assert "correlation undefined" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestStageCommandsMatchReplicate:
     """A stage command writes the same bytes as the same stage inside ``replicate``."""

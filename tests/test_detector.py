@@ -181,6 +181,40 @@ class TestTMDConfig:
             tmd.bin_probs[0] = 0.9
 
 
+class TestModelMemo:
+    """A detector builds its model on first use, once, and never at construction."""
+
+    def test_construction_builds_nothing(self, stage_builds):
+        tmds = [
+            TMDConfig(np.full(1 + i % 8, 1.0 / (1 + i % 8)), i / 999.0, i % 12)
+            for i in range(1000)
+        ]
+        assert stage_builds == {"convolution_matrix": 0, "loss_matrix": 0}
+        # the counters do see a build once the model is used
+        detector_response(tmds[-1])
+        assert stage_builds == {"convolution_matrix": 1, "loss_matrix": 1}
+
+    def test_response_is_built_once(self, stage_builds):
+        tmd = TMDConfig.uniform(4, efficiency=0.35)
+        first = detector_response(tmd)
+        forward(tmd, PhotonDistribution(np.full(5, 0.2)))
+        assert detector_response(tmd) is first
+        assert stage_builds == {"convolution_matrix": 1, "loss_matrix": 1}
+
+    def test_model_matches_the_public_stages(self):
+        tmd = TMDConfig(np.array([0.5, 0.3, 0.2]), 0.4, 5)
+        conv, loss, response = tmd._model
+        np.testing.assert_array_equal(conv, convolution_matrix(tmd.bin_probs, 5))
+        np.testing.assert_array_equal(loss, loss_matrix(0.4, 5))
+        np.testing.assert_array_equal(response, _column_stochastic(conv @ loss))
+
+    def test_model_is_read_only(self):
+        tmd = TMDConfig.uniform(4, efficiency=0.6)
+        for matrix in (*tmd._model, detector_response(tmd)):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.5
+
+
 class TestDetectorMatrix:
     def test_composite_is_product_of_stages(self):
         tmd = TMDConfig.uniform(4, efficiency=0.35, n_max=4)

@@ -248,3 +248,53 @@ class TestPropagateErrors:
         cov = propagate_errors(tmd, rho, sigma_eta=1e-7)
         assert np.all(np.isfinite(cov))
         assert np.diag(cov).max() > 0.0
+
+
+class TestModelMemo:
+    """Every inversion of one detector object shares the model it built once."""
+
+    @staticmethod
+    def analyse(tmd: TMDConfig) -> list:
+        truth = thermal_dist(0.4, 4)
+        rho = forward(tmd, truth)
+        clicks = ClickStatistics(np.array([500, 300, 150, 40, 10]), 1000)
+        joint = joint_forward(tmd, tmd, twin_beam_joint(truth))
+        return [
+            rho.probs,
+            invert_single(tmd, clicks).dist.probs,
+            invert_single(tmd, clicks, constrained=True).dist.probs,
+            propagate_errors(tmd, clicks, sigma_eta=0.009),
+            invert_joint(tmd, tmd, joint).dist.probs,
+        ]
+
+    def test_one_detector_builds_each_stage_once(self, stage_builds):
+        tmd = TMDConfig.uniform(4, efficiency=0.5)
+        self.analyse(tmd)
+        self.analyse(tmd)
+        assert stage_builds == {"convolution_matrix": 1, "loss_matrix": 1}
+
+    def test_reused_detector_gives_the_bits_of_fresh_ones(self):
+        tmd = TMDConfig.uniform(4, efficiency=0.5)
+        self.analyse(tmd)
+        again = self.analyse(tmd)
+        fresh = self.analyse(TMDConfig.uniform(4, efficiency=0.5))
+        for reused, new in zip(again, fresh):
+            np.testing.assert_array_equal(reused, new)
+
+    @pytest.mark.parametrize("tmd, error", [
+        (TMDConfig.uniform(4, efficiency=0.6, n_max=6), TruncationError),
+        (TMDConfig.uniform(4, efficiency=0.0), ConditioningError),
+    ], ids=["truncation", "zero-efficiency"])
+    def test_failed_checks_raise_on_every_call(self, tmd, error):
+        rho = np.ones(5) / 5.0
+        # the forward model of such a detector exists, so its model is cached
+        forward(tmd, PhotonDistribution(np.full(tmd.n_max + 1, 1.0 / (tmd.n_max + 1))))
+        for _ in range(3):
+            with pytest.raises(error):
+                invert_single(tmd, rho)
+            with pytest.raises(error):
+                invert_single(tmd, rho, constrained=True)
+            with pytest.raises(error):
+                propagate_errors(tmd, rho, sigma_eta=0.009)
+            with pytest.raises(error):
+                invert_joint(tmd, tmd, np.ones((5, 5)) / 25.0)

@@ -25,7 +25,12 @@ from tmdkit import (
     number_squeezing_db,
     twin_beam_joint,
 )
-from tmdkit.stats import poisson_probs, thermal_probs
+from tmdkit.stats import (
+    _golden_minimize,
+    negative_binomial_probs,
+    poisson_probs,
+    thermal_probs,
+)
 
 
 class TestPhotonDistribution:
@@ -289,6 +294,81 @@ class TestModelProbs:
     def test_both_families_normalized(self, mean, n_max):
         assert thermal_probs(mean, n_max).sum() == pytest.approx(1.0)
         assert poisson_probs(mean, n_max).sum() == pytest.approx(1.0)
+
+
+def reference_thermal_probs(mean, n_max):
+    """``thermal_probs`` as it was written before its vectors were built in place."""
+    n = np.arange(n_max + 1, dtype=float)
+    if mean == 0.0:
+        p = (n == 0).astype(float)
+    else:
+        p = np.exp(n * math.log(mean) - (n + 1.0) * math.log1p(mean))
+    return p / p.sum()
+
+
+def reference_negative_binomial_probs(mean, n_max, modes=math.inf):
+    """``negative_binomial_probs`` as it was written before its vectors were built in place."""
+    if mean == 0.0:
+        return (np.arange(n_max + 1) == 0).astype(float)
+    n = np.arange(1, n_max + 1, dtype=float)
+    ratio = mean / n
+    if not math.isinf(modes):
+        ratio *= (n + (modes - 1.0)) / (modes + mean)
+    log_p = np.concatenate([[0.0], np.cumsum(np.log(ratio))])
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum()
+
+
+MEANS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+MODES = st.one_of(st.just(math.inf), st.integers(1, 12), st.floats(0.5, 1e3))
+
+
+class TestSameBits:
+    """The in-place model vectors and fit objective repeat the old operations exactly.
+
+    References run in this process, so a CPU whose SIMD exp or log rounds
+    differently gives both sides the same rounding.
+    """
+
+    @given(mean=MEANS, n_max=st.integers(0, 40), modes=MODES)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_negative_binomial_probs(self, mean, n_max, modes):
+        assert np.array_equal(
+            negative_binomial_probs(mean, n_max, modes),
+            reference_negative_binomial_probs(mean, n_max, modes),
+        )
+        assert np.array_equal(poisson_probs(mean, n_max), reference_negative_binomial_probs(mean, n_max))
+
+    @given(mean=MEANS, n_max=st.integers(0, 40))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_thermal_probs(self, mean, n_max):
+        assert np.array_equal(thermal_probs(mean, n_max), reference_thermal_probs(mean, n_max))
+
+    @given(r=st.lists(st.floats(-1e3, 1e3), max_size=41))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_objective_is_the_norm(self, r):
+        r = np.array(r, dtype=float)
+        assert math.sqrt(r.dot(r)) == np.linalg.norm(r)
+
+    @pytest.mark.parametrize("fit, family", [
+        (fit_poisson, reference_negative_binomial_probs),
+        (fit_thermal, reference_thermal_probs),
+    ], ids=["poisson", "thermal"])
+    @pytest.mark.parametrize("target", [
+        poisson_probs(1.3, 12), thermal_probs(0.7, 12), [0.5, 0.3, 0.15, 0.05], [0.9, 0.02, 0.08],
+    ])
+    def test_fits_repeat_the_reference_search(self, fit, family, target):
+        # targets whose minimizer sits inside the first bracket, so one search runs
+        dist = PhotonDistribution(target)
+
+        def objective(mu):
+            return float(np.linalg.norm(dist.probs - family(mu, dist.n_max)))
+
+        best = _golden_minimize(objective, 0.0, max(1.0, 3.0 * dist.mean + 1.0))
+        result = fit(dist)
+        assert result.mean == best
+        assert result.residual_l2 == objective(best)
+        assert np.array_equal(result.per_bin_deviation, dist.probs - family(best, dist.n_max))
 
 
 class TestFits:
