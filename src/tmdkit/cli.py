@@ -1,4 +1,8 @@
-"""Command-line front end chaining simulation, calibration, and reconstruction.
+"""Command-line front end: simulate a run, or chain it through every analysis stage.
+
+``simulate`` writes a run's click tables (and, on request, its shots);
+``replicate`` also calibrates, reconstructs and reports, writing every
+stage document; ``metrics`` and ``fit`` analyse a stored document.
 
 Exit codes: 0 success, 2 configuration error, 3 data-format error,
 4 numerical or degenerate-condition error.
@@ -31,31 +35,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tmdkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(
-        p: argparse.ArgumentParser, constrained: bool = False, setup: str = "--setup"
-    ) -> None:
+    def add_run_flags(p: argparse.ArgumentParser, setup: str = "--setup") -> None:
         # replicate takes its layout as a positional "setup" and has no --setup
         p.add_argument(setup, choices=SETUPS, help="use the stock config of this layout")
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--shots", type=int, help="override the config shot count")
         p.add_argument("--out", default="tmdkit-out", help="output directory")
-        if constrained:
-            p.add_argument(
-                "--constrained",
-                action="store_true",
-                help="non-negative reconstruction instead of the direct inverse",
-            )
+        p.add_argument("--emit-shots", action="store_true", help="also write per-shot masks as CSV")
 
     p = sub.add_parser("simulate", help="run the shot-by-shot simulation")
     add_run_flags(p)
-    p.add_argument("--emit-shots", action="store_true", help="also write per-shot masks as CSV")
-
-    p = sub.add_parser("calibrate", help="estimate arm efficiencies from coincidences")
-    add_run_flags(p)
-
-    p = sub.add_parser("reconstruct", help="simulate and invert the detector model")
-    add_run_flags(p, constrained=True)
 
     p = sub.add_parser("metrics", help="figures of merit for a stored distribution")
     p.add_argument("--in", dest="in_path", required=True, help="JSON document to analyze")
@@ -66,8 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tmdkit-out", help="output directory")
 
     p = sub.add_parser("replicate", help="full measurement chain for one layout")
-    add_run_flags(p, constrained=True, setup="setup")
-    p.add_argument("--emit-shots", action="store_true", help="also write per-shot masks as CSV")
+    add_run_flags(p, setup="setup")
+    p.add_argument(
+        "--constrained",
+        action="store_true",
+        help="non-negative reconstruction instead of the direct inverse",
+    )
     return parser
 
 
@@ -85,9 +79,9 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]
 
 
 def _print_summary(doc: dict) -> None:
-    skip = {"format_version", "kind", "config"}
-    for key, value in doc.items():
-        if key in skip or isinstance(value, (dict, list)):
+    # plain JSON values, so arrays are lists and skipped with the other containers
+    for key, value in tmdio.jsonable(doc).items():
+        if key in ("format_version", "kind") or isinstance(value, (dict, list)):
             continue
         print(f"{key} = {value}")
 
@@ -100,14 +94,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         echo, seed, threads, inputs = {"in": str(args.in_path)}, None, None, [str(args.in_path)]
     else:
         config, inputs = _load_config(args)
-        options = {
-            "constrained": getattr(args, "constrained", False),
-            "emit_shots": getattr(args, "emit_shots", False),
-        }
         if args.command == "replicate":
-            output = pipelines.run_replicate(config, args.out, **options)
+            output = pipelines.run_replicate(config, args.out, args.constrained, args.emit_shots)
         else:
-            output = pipelines.run_stage(args.command, config, args.out, **options)
+            output = pipelines.run_simulation(config, args.out, args.emit_shots)
         echo, seed = tmdio.serialize_config(config), config.seed
         threads = _worker_count(config.shots)
     # provenance record tying the run's outputs to its exact inputs

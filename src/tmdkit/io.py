@@ -66,6 +66,12 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _supported_version(doc: dict) -> bool:
+    """True unless ``doc`` names another format version; ``true`` and ``1.0`` are not 1."""
+    version = doc.get("format_version", FORMAT_VERSION)
+    return _is_int(version) and version == FORMAT_VERSION
+
+
 def _is_real(value: Any) -> bool:
     """True for a number a float holds; an integer too large for one is not."""
     if _is_int(value):
@@ -170,9 +176,8 @@ def read_json_doc(path: str | Path) -> dict:
     doc = _load_json(path, DataFormatError, str(path))
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format_version {version!r}")
+    if not _supported_version(doc):
+        raise DataFormatError(f"{path}: unsupported format_version {doc['format_version']!r}")
     return doc
 
 
@@ -284,9 +289,8 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported format_version {version!r}")
+    if not _supported_version(doc):
+        raise ConfigError(f"unsupported format_version {doc['format_version']!r}")
     setup = _require(doc, "setup", "config")
     if setup not in SETUPS:
         raise ConfigError(f"setup must be one of {SETUPS}, got {setup!r}")

@@ -1,16 +1,17 @@
-"""End-to-end analysis chains: simulate, calibrate, reconstruct, report.
+"""End-to-end analysis chain: simulate, calibrate, reconstruct, report.
 
 Each runner writes deterministic JSON documents (plus CSV tables of the
 distributions) into an output directory and returns its primary
 document.  It builds every file before it writes the first, so a run
-that fails writes nothing.  Every run simulates once and feeds one
-chain of stages (simulate, calibrate, reconstruct, fit, metrics): a
-stage command runs one of them, and ``replicate`` runs every one the
-detectors call for (``_stages``).  A merged-beam run (layout C)
-inverts its shared detector.  Any other run is calibrated from its
-coincidences and inverts every multi-bin arm; a 1-bin arm only heralds
-the other.  With one multi-bin arm the run is also fitted, and with two
-it also gets the joint estimate and its metrics.
+that fails writes nothing.  A run simulates once into click tables, and
+one chain of stages (calibrate, reconstruct, fit, metrics) reads those
+tables: ``simulate`` writes the simulation alone, and ``replicate``
+adds every stage the detectors call for (``_stages``).  A merged-beam
+run (layout C) inverts its shared detector.  Any other run is
+calibrated from its coincidences and inverts every multi-bin arm; a
+1-bin arm only heralds the other.  With one multi-bin arm the run is
+also fitted, and with two it also gets the joint estimate and its
+metrics.
 
 Simulated count rates are reported per shot; multiply by the pulse
 repetition rate for rates per second.
@@ -27,14 +28,7 @@ import numpy as np
 from . import io as tmdio
 from .detector import TMDConfig
 from .errors import DataFormatError, DomainError
-from .montecarlo import (
-    CollectiveResult,
-    ExperimentConfig,
-    ExperimentResult,
-    _tallies,
-    run_collective_experiment,
-    run_experiment,
-)
+from .montecarlo import ExperimentConfig, _simulate, _tallies
 from .reconstruct import (
     CalibrationRecord,
     ReconstructionResult,
@@ -43,7 +37,6 @@ from .reconstruct import (
     klyshko_efficiency,
     propagate_errors,
 )
-from .sources import SourceModel
 from .stats import (
     ClickStatistics,
     JointPhotonDistribution,
@@ -99,17 +92,6 @@ def _clicks_doc(clicks: ClickStatistics) -> dict:
     return {"counts": clicks.counts, "total_shots": clicks.total_shots}
 
 
-def _click_tables(result: ExperimentResult | CollectiveResult) -> dict[str, ClickStatistics]:
-    """Click histograms of a run by name: ``collective`` for layout C, else signal, idler, joint."""
-    if isinstance(result, CollectiveResult):
-        return {"collective": result.clicks}
-    return {
-        "signal": result.signal_clicks,
-        "idler": result.idler_clicks,
-        "joint": result.joint_clicks,
-    }
-
-
 def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {
         "format_version": tmdio.FORMAT_VERSION,
@@ -129,38 +111,17 @@ def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]
 
 
 def _klyshko(joint: ClickStatistics) -> tuple[CalibrationRecord, CalibrationRecord]:
-    """Klyshko estimates of the (signal, idler) efficiencies from a joint click table."""
+    """Klyshko estimates of the (signal, idler) efficiencies from a joint click table.
+
+    Exact only in the low-gain limit: either photon of a multi-pair shot
+    can fire the heralding detector, which biases the ratio upward.
+    """
     signal_singles, idler_singles, coincidences = _tallies(joint)
     # each arm's efficiency is gated on the opposite arm's singles
     return (
         klyshko_efficiency(coincidences, idler_singles),
         klyshko_efficiency(coincidences, signal_singles),
     )
-
-
-def simulate_klyshko(
-    source: SourceModel,
-    eta_signal: float,
-    eta_idler: float,
-    shots: int,
-    seed: int,
-) -> tuple[CalibrationRecord, CalibrationRecord]:
-    """Calibrate both arms from a threshold-detector coincidence run.
-
-    Returns the (signal, idler) efficiency records.  The estimate is
-    exact only in the low-gain limit; multi-pair emission biases the
-    ratio upward because either photon of a multi-pair shot can fire the
-    heralding detector.
-    """
-    config = ExperimentConfig(
-        source=source,
-        setup="A",
-        tmd_signal=TMDConfig.uniform(bins=1, efficiency=eta_signal),
-        tmd_idler=TMDConfig.uniform(bins=1, efficiency=eta_idler),
-        shots=shots,
-        seed=seed,
-    )
-    return _klyshko(run_experiment(config).joint_clicks)
 
 
 def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
@@ -326,41 +287,44 @@ def _distribution_tables(recon_doc: dict) -> list[_File]:
     return files
 
 
-def _shots_file(result: ExperimentResult | CollectiveResult) -> _File:
-    # streamed from the masks in memory when written, never held as text
-    if isinstance(result, CollectiveResult):
-        masks = {"signal_masks": result.masks}
-    else:
-        masks = {"signal_masks": result.signal_masks, "idler_masks": result.idler_masks}
-    return "shots.csv", lambda path: tmdio.write_shots(path, **masks)
+def _simulation(
+    config: ExperimentConfig, emit_shots: bool
+) -> tuple[dict, dict[str, ClickStatistics], list[_File]]:
+    """Simulate one run; return its document, click tables by name and unwritten files.
 
-
-def _chain(
-    config: ExperimentConfig,
-    stages: tuple[str, ...],
-    constrained: bool = False,
-    emit_shots: bool = False,
-) -> tuple[dict[str, dict], list[_File]]:
-    """Simulate once, then build each requested stage from the click tables.
-
-    Stages run in the fixed order simulate, calibrate, reconstruct, fit,
-    metrics, whatever the order of ``stages``; fit and metrics read the
-    reconstruction, so they need it requested too.  A stage the detectors
-    do not call for raises :class:`DomainError` before anything runs.
-    Returns the stage documents by stage name and the files of the
-    stages in writing order; nothing is written here, so a stage that
-    fails leaves no file behind.
+    The histogram has one axis per detector: a single axis is the shared
+    detector of merged beams (``collective``), two are the signal and
+    idler arms, tabled as ``signal``, ``idler`` and ``joint``.
     """
-    called = _stages(config)
-    for stage in stages:
-        if stage not in called:
-            bins = f"{config.tmd_signal.bins}-bin signal, {config.tmd_idler.bins}-bin idler"
-            detectors = "merged arms" if config.setup == "C" else bins
-            message = f"the {stage} stage does not apply to these detectors ({detectors})"
-            raise DomainError(f"{message}; they call for {', '.join(called)}")
-    run = run_collective_experiment if config.setup == "C" else run_experiment
-    result = run(config, keep_shots=emit_shots)
-    tables = _click_tables(result)
+    histogram, masks = _simulate(config, emit_shots)
+    if histogram.ndim == 1:
+        tables = {"collective": ClickStatistics(histogram, config.shots)}
+    else:
+        tables = {
+            "signal": ClickStatistics(histogram.sum(axis=1), config.shots),
+            "idler": ClickStatistics(histogram.sum(axis=0), config.shots),
+            "joint": ClickStatistics(histogram, config.shots),
+        }
+    doc = _simulation_doc(config, tables)
+    files = [_json_file("simulation.json", doc)]
+    files += [_text_file(f"clicks_{arm}.csv", tmdio._clicks_text(c)) for arm, c in tables.items()]
+    if emit_shots:
+        # streamed from the masks in memory when written, never held as text
+        files.append(("shots.csv", lambda path: tmdio.write_shots(path, *masks)))
+    return doc, tables, files
+
+
+def _analysis(
+    config: ExperimentConfig, tables: dict[str, ClickStatistics], constrained: bool
+) -> tuple[dict[str, dict], list[_File]]:
+    """Build every stage after the simulation that the detectors call for.
+
+    Stages run in the order calibrate, reconstruct, fit, metrics; fit
+    and metrics read the reconstruction.  Returns the stage documents
+    by stage name and their files in writing order; nothing is written
+    here, so a stage that fails leaves no file behind.
+    """
+    stages = _stages(config)
     docs: dict[str, dict] = {}
     files: list[_File] = []
 
@@ -368,12 +332,6 @@ def _chain(
         docs[stage] = doc
         files.append(_json_file(name, doc))
 
-    if "simulate" in stages:
-        add("simulate", "simulation.json", _simulation_doc(config, tables))
-        for arm, clicks in tables.items():
-            files.append(_text_file(f"clicks_{arm}.csv", tmdio._clicks_text(clicks)))
-        if emit_shots:
-            files.append(_shots_file(result))
     if "calibrate" in stages:
         add("calibrate", "calibration.json", _calibration_doc(config, tables))
     if "reconstruct" in stages:
@@ -394,27 +352,15 @@ def _chain(
     return docs, files
 
 
-_STAGE_COMMANDS = ("simulate", "calibrate", "reconstruct")
-
-
-def run_stage(
-    stage: str,
-    config: ExperimentConfig,
-    out_dir: str | Path,
-    constrained: bool = False,
-    emit_shots: bool = False,
+def run_simulation(
+    config: ExperimentConfig, out_dir: str | Path, emit_shots: bool = False
 ) -> RunOutput:
-    """Simulate one run and write one stage's documents.
+    """Simulate one run and write its click tables, plus per-shot masks with ``emit_shots``.
 
-    ``stage`` is "simulate", "calibrate" or "reconstruct";
-    ``constrained`` affects only reconstruction and ``emit_shots`` only
-    the simulation stage.  A stage the config's detectors do not call
-    for raises :class:`DomainError` and writes nothing.
+    Runs no analysis, so it also serves a config whose later stages fail.
     """
-    if stage not in _STAGE_COMMANDS:
-        raise DomainError(f"stage must be one of {_STAGE_COMMANDS}, got {stage!r}")
-    docs, files = _chain(config, (stage,), constrained, emit_shots)
-    return RunOutput(docs[stage], _write_files(out_dir, files))
+    doc, _, files = _simulation(config, emit_shots)
+    return RunOutput(doc, _write_files(out_dir, files))
 
 
 def _extract(
@@ -526,7 +472,8 @@ def run_replicate(
     the first is written, so a run that fails writes none.
     """
     config_file = _json_file("config.json", tmdio.serialize_config(config))
-    docs, files = _chain(config, _stages(config), constrained, emit_shots)
+    _, tables, simulation_files = _simulation(config, emit_shots)
+    docs, analysis_files = _analysis(config, tables, constrained)
     summary = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "summary",
@@ -535,5 +482,5 @@ def run_replicate(
         "seed": config.seed,
         **_summary(config, docs),
     }
-    files = [config_file, *files, _json_file("summary.json", summary)]
+    files = [config_file, *simulation_files, *analysis_files, _json_file("summary.json", summary)]
     return RunOutput(summary, _write_files(out_dir, files))

@@ -34,12 +34,11 @@ from tmdkit import (
     propagate_errors,
     run_collective_experiment,
     run_experiment,
-    simulate_klyshko,
     thermal_dist,
     twin_beam_joint,
 )
 from tmdkit.cli import EXIT_OK, main
-from tmdkit.pipelines import default_config
+from tmdkit.pipelines import _klyshko, default_config
 from tmdkit.stats import poisson_probs, thermal_probs
 
 
@@ -113,7 +112,15 @@ def test_03_simulation_matches_analytic_forward():
 
 
 def test_04_coincidence_calibration_recovers_efficiencies():
-    signal, idler = simulate_klyshko(SourceModel.fock_pairs(1), 0.117, 0.137, 10_000_000, 20260817)
+    config = ExperimentConfig(
+        source=SourceModel.fock_pairs(1),
+        setup="A",
+        tmd_signal=TMDConfig.uniform(bins=1, efficiency=0.117),
+        tmd_idler=TMDConfig.uniform(bins=1, efficiency=0.137),
+        shots=10_000_000,
+        seed=20260817,
+    )
+    signal, idler = _klyshko(run_experiment(config).joint_clicks)
     print(f"calibrated {signal.eta:.5f} / {idler.eta:.5f} vs true 0.117 / 0.137")
     assert abs(signal.eta - 0.117) < 0.005
     assert abs(idler.eta - 0.137) < 0.005

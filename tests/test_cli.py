@@ -87,9 +87,11 @@ class TestSimulate:
 
 
 class TestCalibrate:
+    """The calibration stage of ``replicate``."""
+
     def test_stock_setup(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("calibrate", "--setup", "A", "--shots", 50_000, "--out", out) == EXIT_OK
+        assert run_cli("replicate", "A", "--shots", 50_000, "--out", out) == EXIT_OK
         doc = read_json_doc(out / "calibration.json")
         assert doc["signal"]["efficiency"] == pytest.approx(0.117, abs=0.01)
         assert doc["idler"]["efficiency"] == pytest.approx(0.137, abs=0.01)
@@ -104,15 +106,17 @@ class TestCalibrate:
             "signal": {"bins": 1, "efficiency": 0.5},
             "idler": {"bins": 1, "efficiency": 0.5},
         })
-        code = run_cli("calibrate", "--config", config, "--out", tmp_path / "out")
+        code = run_cli("replicate", "A", "--config", config, "--out", tmp_path / "out")
         assert code == EXIT_NUMERICAL
         assert "error:" in capsys.readouterr().err
 
 
 class TestReconstruct:
+    """The reconstruction stage of ``replicate``."""
+
     def test_dual_layout(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("reconstruct", "--setup", "D", "--shots", 20_000, "--out", out) == EXIT_OK
+        assert run_cli("replicate", "D", "--shots", 20_000, "--out", out) == EXIT_OK
         doc = read_json_doc(out / "reconstruction.json")
         assert doc["method"] == "direct"
         for arm in ("joint", "signal", "idler"):
@@ -129,7 +133,7 @@ class TestReconstruct:
     def test_constrained_flag(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(
-            "reconstruct", "--setup", "D", "--shots", 20_000, "--out", out, "--constrained"
+            "replicate", "D", "--shots", 20_000, "--out", out, "--constrained"
         ) == EXIT_OK
         doc = read_json_doc(out / "reconstruction.json")
         assert doc["method"] == "constrained"
@@ -138,17 +142,21 @@ class TestReconstruct:
 
     def test_shared_layout_averages_efficiencies(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("reconstruct", "--setup", "C", "--shots", 20_000, "--out", out) == EXIT_OK
+        assert run_cli("replicate", "C", "--shots", 20_000, "--out", out) == EXIT_OK
         doc = read_json_doc(out / "reconstruction.json")
         assert doc["collective"]["efficiency"] == pytest.approx(0.117)
         assert "efficiency_note" in doc["collective"]
 
 
-    def test_threshold_arms_are_not_inverted(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run_cli("reconstruct", "--setup", "A", "--shots", 2_000, "--out", out) == EXIT_NUMERICAL
-        assert "the reconstruct stage does not apply" in capsys.readouterr().err
-        assert not (out / "reconstruction.json").exists()
+class TestRemovedCommands:
+    @pytest.mark.parametrize("command", ["calibrate", "reconstruct"])
+    def test_stage_commands_are_gone(self, tmp_path, capsys, command):
+        # replicate writes every stage document these commands used to write
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--setup", "D", "--shots", 100, "--out", tmp_path / "o")
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestArgumentErrors:
@@ -186,6 +194,20 @@ class TestArgumentErrors:
             "detector": {"bins": 1},
         })
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_format_version_must_be_the_integer_one(self, tmp_path, capsys, version):
+        config = write_config(tmp_path / "config.json", {
+            "format_version": version,
+            "setup": "A",
+            "shots": 100,
+            "seed": 1,
+            "source": {"kind": "fock", "photons": 1},
+        })
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", config, "--out", out) == EXIT_CONFIG
+        assert f"unsupported format_version {version!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_more_bins_than_a_click_mask_holds(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", {
@@ -265,6 +287,17 @@ class TestMetrics:
         code = run_cli("metrics", "--in", doc_path, "--out", tmp_path / "o")
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["metrics", "fit"])
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_format_version_must_be_the_integer_one(self, tmp_path, capsys, command, version):
+        doc_path = tmp_path / "doc.json"
+        write_json_doc(doc_path, {"format_version": version, "distribution": [0.5, 0.5]})
+        out = tmp_path / "o"
+        assert run_cli(command, "--in", doc_path, "--out", out) == EXIT_DATA
+        assert f"unsupported format_version {version!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFit:
@@ -399,6 +432,22 @@ class TestManifest:
         assert manifest["outputs"] == [str(out / "metrics.json")]
 
 
+# Files each stock layout's analysis stages write, in writing order.
+_STAGE_FILES = [
+    ("A", ["calibration.json"]),
+    ("B", ["calibration.json", "reconstruction.json", "distribution_idler.csv", "fit.json"]),
+    ("C", ["reconstruction.json", "distribution_collective.csv"]),
+    ("D", [
+        "calibration.json",
+        "reconstruction.json",
+        "distribution_signal.csv",
+        "distribution_idler.csv",
+        "distribution_joint.csv",
+        "metrics.json",
+    ]),
+]
+
+
 class TestReplicate:
     def test_heralded_layout_chains_every_stage(self, tmp_path):
         out = tmp_path / "out"
@@ -493,19 +542,7 @@ class TestReplicate:
             assert (again / name).read_bytes() == (stock / name).read_bytes(), name
 
 
-    @pytest.mark.parametrize("layout, written", [
-        ("A", ["calibration.json"]),
-        ("B", ["calibration.json", "reconstruction.json", "distribution_idler.csv", "fit.json"]),
-        ("C", ["reconstruction.json", "distribution_collective.csv"]),
-        ("D", [
-            "calibration.json",
-            "reconstruction.json",
-            "distribution_signal.csv",
-            "distribution_idler.csv",
-            "distribution_joint.csv",
-            "metrics.json",
-        ]),
-    ])
+    @pytest.mark.parametrize("layout, written", _STAGE_FILES)
     def test_files_each_layout_writes(self, tmp_path, layout, written):
         # a 1-bin arm only heralds, so stock B inverts its idler alone
         out = tmp_path / "out"
@@ -515,6 +552,32 @@ class TestReplicate:
         ]
         common = ["config.json", "simulation.json", "summary.json", "manifest.json"]
         assert sorted(p.name for p in out.iterdir()) == sorted(common + clicks + written)
+
+    @pytest.mark.parametrize("layout, written", _STAGE_FILES)
+    def test_files_are_written_in_chain_order(self, tmp_path, capsys, layout, written):
+        out = tmp_path / "out"
+        assert run_cli("replicate", layout, "--shots", 2_000, "--emit-shots", "--out", out) == EXIT_OK
+        clicks = ["clicks_collective.csv"] if layout == "C" else [
+            "clicks_signal.csv", "clicks_idler.csv", "clicks_joint.csv"
+        ]
+        names = ["config.json", "simulation.json", *clicks, "shots.csv", *written, "summary.json"]
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / name}" for name in names]
+
+    @pytest.mark.parametrize("layout", ["B", "C"])
+    def test_summary_prints_scalars_only(self, tmp_path, capsys, layout):
+        # the summary's probability vectors stay in summary.json
+        out = tmp_path / "out"
+        assert run_cli("replicate", layout, "--shots", 20_000, "--out", out) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        summary = read_json_doc(out / "summary.json")
+        assert any(isinstance(value, list) for value in summary.values())
+        for line in lines:
+            if line.startswith("wrote "):
+                continue
+            key, sep, value = line.partition(" = ")
+            assert sep and "[" not in line, line
+            assert value == str(summary[key])
 
     def test_swapped_heralded_layout_reports_the_signal_arm(self, tmp_path):
         config = write_config(tmp_path / "config.json", {
@@ -561,8 +624,8 @@ class TestStageCommandsMatchReplicate:
     """A stage command writes the same bytes as the same stage inside ``replicate``."""
 
     @pytest.mark.parametrize("layout, stages, extra", [
-        ("C", ("simulate", "reconstruct"), ["--shots", 20_000]),
-        ("D", ("simulate", "calibrate", "reconstruct"), ["--shots", 20_000, "--seed", 7]),
+        ("C", ("simulate",), ["--shots", 20_000, "--emit-shots"]),
+        ("D", ("simulate",), ["--shots", 20_000, "--seed", 7, "--emit-shots"]),
     ])
     def test_same_files(self, tmp_path, layout, stages, extra):
         chained = tmp_path / "replicate"
@@ -571,7 +634,7 @@ class TestStageCommandsMatchReplicate:
             alone = tmp_path / stage
             assert run_cli(stage, "--setup", layout, *extra, "--out", alone) == EXIT_OK
             names = sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
-            assert names
+            assert "shots.csv" in names
             for name in names:
                 assert (alone / name).read_bytes() == (chained / name).read_bytes(), (stage, name)
 

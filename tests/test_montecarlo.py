@@ -22,7 +22,6 @@ from tmdkit import (
     marginals,
     run_collective_experiment,
     run_experiment,
-    simulate_klyshko,
 )
 from tmdkit import montecarlo
 from tmdkit.montecarlo import _BLOCK, _chunk_rng, _click_histogram, _pair_cdf, _readout, _sample_pairs
@@ -484,7 +483,15 @@ class TestCalibrationCounters:
 
     def test_simulate_klyshko_recovers_efficiencies(self):
         # single pairs make the coincidence ratio an unbiased estimate
-        signal, idler = simulate_klyshko(SourceModel.fock_pairs(1), 0.3, 0.6, 500_000, 21)
+        config = ExperimentConfig(
+            source=SourceModel.fock_pairs(1),
+            setup="A",
+            tmd_signal=TMDConfig.uniform(bins=1, efficiency=0.3),
+            tmd_idler=TMDConfig.uniform(bins=1, efficiency=0.6),
+            shots=500_000,
+            seed=21,
+        )
+        signal, idler = _klyshko(run_experiment(config).joint_clicks)
         assert signal.eta == pytest.approx(0.3, abs=0.01)
         assert idler.eta == pytest.approx(0.6, abs=0.01)
         assert signal.eta_uncertainty is not None

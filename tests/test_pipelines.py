@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from tmdkit import (
-    ClickStatistics,
     ConfigError,
     DomainError,
-    ExperimentResult,
     TMDConfig,
     read_json_doc,
-    run_experiment,
     write_json_doc,
 )
-from tmdkit import pipelines
+from tmdkit import montecarlo, pipelines
 from tmdkit.pipelines import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,
@@ -24,7 +21,6 @@ from tmdkit.pipelines import (
     run_fit_file,
     run_metrics_file,
     run_replicate,
-    run_stage,
 )
 
 
@@ -62,13 +58,9 @@ class TestDefaultConfigs:
 
 
 class TestRunners:
-    def test_calibrate_rejects_merged_arms(self, tmp_path):
-        with pytest.raises(DomainError):
-            run_stage("calibrate", default_config("C", shots=100), tmp_path)
-
     def test_reconstruct_collective_output(self, tmp_path):
-        output = run_stage("reconstruct", default_config("C", shots=20_000), tmp_path)
-        fragment = output.primary["collective"]
+        run_replicate(default_config("C", shots=20_000), tmp_path)
+        fragment = read_json_doc(tmp_path / "reconstruction.json")["collective"]
         probs = np.asarray(fragment["probabilities"], dtype=float)
         assert probs.sum() == pytest.approx(1.0)
         assert len(fragment["sigma"]) == probs.size
@@ -107,27 +99,15 @@ def swap_arms(config):
     )
 
 
-def swap_result(result):
-    """A run's click tables with the arms, and the joint table's axes, exchanged."""
-    joint = result.joint_clicks
-    return ExperimentResult(
-        signal_clicks=result.idler_clicks,
-        idler_clicks=result.signal_clicks,
-        joint_clicks=ClickStatistics(joint.counts.T, joint.total_shots),
-        signal_singles=result.idler_singles,
-        idler_singles=result.signal_singles,
-        coincidences=result.coincidences,
-    )
-
-
 class TestRoleRule:
     """The chain follows the detectors of a run, not its layout letter."""
 
     def test_swapped_heralded_layout_matches_stock_on_the_tmd_arm(self, tmp_path, monkeypatch):
         stock = default_config("B", shots=20_000, seed=7)
-        clicks = run_experiment(stock)
+        histogram, _ = montecarlo._simulate(stock, False)
         run_replicate(stock, tmp_path / "stock")
-        monkeypatch.setattr(pipelines, "run_experiment", lambda config, keep_shots: swap_result(clicks))
+        # the same clicks with the arms, and so the joint table's axes, exchanged
+        monkeypatch.setattr(pipelines, "_simulate", lambda config, keep_shots: (histogram.T, None))
         run_replicate(swap_arms(stock), tmp_path / "swapped")
 
         def read(run, name):
@@ -157,13 +137,3 @@ class TestRoleRule:
         assert {"joint", "raw"} <= set(read_json_doc(tmp_path / "metrics.json"))
         assert "correlation" in output.primary
         assert not (tmp_path / "fit.json").exists()
-
-    @pytest.mark.parametrize("stage, setup, detectors", [
-        ("calibrate", "C", "merged arms"),
-        ("reconstruct", "A", "1-bin signal, 1-bin idler"),
-    ])
-    def test_stage_the_detectors_do_not_call_for(self, tmp_path, stage, setup, detectors):
-        with pytest.raises(DomainError) as info:
-            run_stage(stage, default_config(setup, shots=100), tmp_path)
-        assert str(info.value).startswith(f"the {stage} stage does not apply to these detectors ({detectors})")
-        assert list(tmp_path.iterdir()) == []
