@@ -621,7 +621,7 @@ def _table_text(header: str, *columns: np.ndarray) -> str:
 def _distribution_text(
     dist: PhotonDistribution | JointPhotonDistribution, sigma: np.ndarray | None = None
 ) -> str:
-    """The CSV table ``write_distribution_csv`` writes."""
+    """CSV table of a distribution, with a σ column when ``sigma`` is given, for external plotting."""
     if isinstance(dist, JointPhotonDistribution):
         if sigma is not None:
             raise DomainError("joint tables do not carry uncertainties")
@@ -635,22 +635,7 @@ def _distribution_text(
     return _table_text("n,probability,sigma", dist.probs, np.asarray(sigma, dtype=float))
 
 
-def write_distribution_csv(
-    path: str | Path,
-    dist: PhotonDistribution | JointPhotonDistribution,
-    sigma: np.ndarray | None = None,
-) -> None:
-    """Tabulate a distribution for external plotting."""
-    atomic_write_text(path, _distribution_text(dist, sigma))
-
-
 def _clicks_text(clicks: ClickStatistics) -> str:
-    """The CSV table ``write_clicks_csv`` writes."""
+    """CSV table of a click histogram, with counts and frequencies, for external plotting."""
     index = "clicks" if clicks.counts.ndim == 1 else "signal_clicks,idler_clicks"
     return _table_text(f"{index},count,frequency", clicks.counts, clicks.frequencies)
-
-
-def write_clicks_csv(path: str | Path, clicks: ClickStatistics) -> None:
-    """Tabulate a click histogram for external plotting."""
-    atomic_write_text(path, _clicks_text(clicks))
-

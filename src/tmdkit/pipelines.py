@@ -2,16 +2,13 @@
 
 Each runner writes deterministic JSON documents (plus CSV tables of the
 distributions) into an output directory and returns its primary
-document.  It builds every file before it writes the first, so a run
-that fails writes nothing.  A run simulates once into click tables, and
-one chain of stages (calibrate, reconstruct, fit, metrics) reads those
-tables: ``simulate`` writes the simulation alone, and ``replicate``
-adds every stage the detectors call for (``_stages``).  A merged-beam
-run (layout C) inverts its shared detector.  Any other run is
-calibrated from its coincidences and inverts every multi-bin arm; a
-1-bin arm only heralds the other.  With one multi-bin arm the run is
-also fitted, and with two it also gets the joint estimate and its
-metrics.
+document, building every file before it writes the first, so a run that
+fails writes nothing.  ``simulate`` writes one simulation's click tables;
+``replicate`` adds what the arms it inverts call for (``_analysis``).  A
+merged-beam run (layout C) inverts its shared detector.  Any other run
+is calibrated from its coincidences and inverts each multi-bin arm (a
+1-bin arm only heralds), then is fitted (one arm) or gets the joint
+estimate and its metrics (two arms).
 
 Simulated count rates are reported per shot; multiply by the pulse
 repetition rate for rates per second.
@@ -88,17 +85,15 @@ def apply_overrides(
     return tmdio.config_from_doc(doc)
 
 
-def _clicks_doc(clicks: ClickStatistics) -> dict:
-    return {"counts": clicks.counts, "total_shots": clicks.total_shots}
-
-
 def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
     doc = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "simulation",
         "setup": config.setup,
         "config": tmdio.serialize_config(config),
-        "clicks": {arm: _clicks_doc(clicks) for arm, clicks in tables.items()},
+        "clicks": {
+            arm: {"counts": c.counts, "total_shots": c.total_shots} for arm, c in tables.items()
+        },
     }
     if "collective" in tables:
         clicked = int(tables["collective"].counts[1:].sum())
@@ -147,29 +142,14 @@ def _result_doc(recon: ReconstructionResult) -> dict:
     }
 
 
-def _arm_doc(
-    tmd: TMDConfig, sigma_eta: float, clicks: ClickStatistics, constrained: bool
-) -> dict:
-    recon = invert_single(tmd, clicks, constrained=constrained)
-    doc = {**_result_doc(recon), "mean": recon.dist.mean, "efficiency": tmd.efficiency}
-    if not constrained:
-        cov = propagate_errors(tmd, clicks, sigma_eta)
-        doc["sigma"] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        doc["covariance"] = cov
-    return doc
-
-
-def _collective_tmd(config: ExperimentConfig) -> TMDConfig:
-    # one shared detector; a single effective efficiency is exact when
-    # the arms are balanced and a documented approximation otherwise
-    eta = (config.tmd_signal.efficiency + config.tmd_idler.efficiency) / 2.0
-    return TMDConfig(config.tmd_signal.bin_probs, eta, config.tmd_signal.n_max)
-
-
 def _detector(config: ExperimentConfig, arm: str) -> tuple[TMDConfig, float]:
     """Detector model of an arm and the uncertainty of its efficiency."""
     if arm == "collective":
-        return _collective_tmd(config), (config.sigma_eta_signal + config.sigma_eta_idler) / 2.0
+        # one shared detector; a single effective efficiency is exact when
+        # the arms are balanced and a documented approximation otherwise
+        eta = (config.tmd_signal.efficiency + config.tmd_idler.efficiency) / 2.0
+        tmd = TMDConfig(config.tmd_signal.bin_probs, eta, config.tmd_signal.n_max)
+        return tmd, (config.sigma_eta_signal + config.sigma_eta_idler) / 2.0
     return getattr(config, f"tmd_{arm}"), getattr(config, f"sigma_eta_{arm}")
 
 
@@ -180,20 +160,13 @@ def _arms(config: ExperimentConfig) -> tuple[str, ...]:
     return tuple(arm for arm in ("signal", "idler") if _detector(config, arm)[0].bins > 1)
 
 
-def _stages(config: ExperimentConfig) -> tuple[str, ...]:
-    """Stages a run's detectors call for, in chain order."""
-    arms = _arms(config)
-    if arms == ("collective",):
-        return ("simulate", "reconstruct")
-    inverted = {0: (), 1: ("reconstruct", "fit"), 2: ("reconstruct", "metrics")}[len(arms)]
-    return ("simulate", "calibrate", *inverted)
-
-
-def _reconstruction_doc(
+def _reconstruction(
     config: ExperimentConfig,
     tables: dict[str, ClickStatistics],
+    arms: tuple[str, ...],
     constrained: bool,
-) -> dict:
+) -> tuple[dict, dict[str, tuple]]:
+    """Invert each arm (two also jointly); the document and, by name, each (estimate, σ or None)."""
     doc = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "reconstruction",
@@ -201,15 +174,25 @@ def _reconstruction_doc(
         "config": tmdio.serialize_config(config),
         "method": "constrained" if constrained else "direct",
     }
-    arms = _arms(config)
     if len(arms) == 2:
         joint = invert_joint(config.tmd_signal, config.tmd_idler, tables["joint"], constrained)
         doc["joint"] = _result_doc(joint)
+    estimates = {}
     for arm in arms:
-        doc[arm] = _arm_doc(*_detector(config, arm), tables[arm], constrained)
+        tmd, sigma_eta = _detector(config, arm)
+        recon = invert_single(tmd, tables[arm], constrained=constrained)
+        doc[arm] = {**_result_doc(recon), "mean": recon.dist.mean, "efficiency": tmd.efficiency}
+        sigma = None
+        if not constrained:
+            cov = propagate_errors(tmd, tables[arm], sigma_eta)
+            sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+            doc[arm].update(sigma=sigma, covariance=cov)
+        estimates[arm] = recon.dist, sigma
     if "collective" in doc:
         doc["collective"]["efficiency_note"] = "arm efficiencies averaged; exact only for balanced arms"
-    return doc
+    if len(arms) == 2:
+        estimates["joint"] = joint.dist, None
+    return doc, estimates
 
 
 def _joint_metrics(joint: JointPhotonDistribution) -> dict:
@@ -230,14 +213,8 @@ def _vector_metrics(dist: PhotonDistribution) -> dict:
     }
 
 
-def _fit_doc(stored: dict) -> dict:
-    """Family fits to a document's first ``_VECTOR_KEYS`` vector, else to its joint idler marginal."""
-    dist = _extract(stored, _VECTOR_KEYS, PhotonDistribution)
-    if dist is None:
-        joint = _extract(stored, ("joint",), JointPhotonDistribution)
-        if joint is None:
-            raise DataFormatError("document carries no distribution vector to fit")
-        dist = marginals(joint)[1]
+def _fit_doc(dist: PhotonDistribution) -> dict:
+    """Poisson and thermal fits to a distribution, and the family that fits it better."""
     poisson = fit_poisson(dist)
     thermal = fit_thermal(dist)
     doc = {"format_version": tmdio.FORMAT_VERSION, "kind": "fit"}
@@ -274,19 +251,6 @@ def _write_files(out_dir: str | Path, files: list[_File]) -> tuple[str, ...]:
     return tuple(paths)
 
 
-def _distribution_tables(recon_doc: dict) -> list[_File]:
-    files = []
-    for arm in ("signal", "idler", "collective", "joint"):
-        kind = JointPhotonDistribution if arm == "joint" else PhotonDistribution
-        dist = _extract(recon_doc, (arm,), kind)
-        if dist is None:
-            continue
-        sigma = recon_doc[arm].get("sigma")
-        text = tmdio._distribution_text(dist, None if sigma is None else np.asarray(sigma))
-        files.append(_text_file(f"distribution_{arm}.csv", text))
-    return files
-
-
 def _simulation(
     config: ExperimentConfig, emit_shots: bool
 ) -> tuple[dict, dict[str, ClickStatistics], list[_File]]:
@@ -316,40 +280,71 @@ def _simulation(
 
 def _analysis(
     config: ExperimentConfig, tables: dict[str, ClickStatistics], constrained: bool
-) -> tuple[dict[str, dict], list[_File]]:
+) -> tuple[list[_File], dict]:
     """Build every stage after the simulation that the detectors call for.
 
-    Stages run in the order calibrate, reconstruct, fit, metrics; fit
-    and metrics read the reconstruction.  Returns the stage documents
-    by stage name and their files in writing order; nothing is written
-    here, so a stage that fails leaves no file behind.
+    Returns the stage files in writing order and the run's headline numbers,
+    both from the results the stages compute.  Nothing is written here, so a
+    stage that fails leaves no file behind.
     """
-    stages = _stages(config)
-    docs: dict[str, dict] = {}
+    arms = _arms(config)
     files: list[_File] = []
-
-    def add(stage: str, name: str, doc: dict) -> None:
-        docs[stage] = doc
-        files.append(_json_file(name, doc))
-
-    if "calibrate" in stages:
-        add("calibrate", "calibration.json", _calibration_doc(config, tables))
-    if "reconstruct" in stages:
-        add("reconstruct", "reconstruction.json", _reconstruction_doc(config, tables, constrained))
-        files += _distribution_tables(docs["reconstruct"])
-    if "fit" in stages:
-        add("fit", "fit.json", _fit_doc(docs["reconstruct"]))
-    if "metrics" in stages:
-        joint = JointPhotonDistribution(np.asarray(docs["reconstruct"]["joint"]["probabilities"]))
-        raw = JointPhotonDistribution(tables["joint"].frequencies)
-        metrics = {
-            "format_version": tmdio.FORMAT_VERSION,
-            "kind": "metrics",
-            "joint": _joint_metrics(joint),
-            "raw": _joint_metrics(raw),
+    if "joint" in tables:
+        # coincidences of two detectors calibrate both arms
+        calibration = _calibration_doc(config, tables)
+        files.append(_json_file("calibration.json", calibration))
+        if not arms:
+            both = ("signal", "idler")
+            return files, {
+                **{f"klyshko_{arm}": calibration[arm]["efficiency"] for arm in both},
+                **{f"klyshko_{arm}_uncertainty": calibration[arm]["uncertainty"] for arm in both},
+                **{f"true_{arm}_efficiency": calibration[arm]["configured_efficiency"] for arm in both},
+            }
+    doc, estimates = _reconstruction(config, tables, arms, constrained)
+    files.append(_json_file("reconstruction.json", doc))
+    for name, (dist, sigma) in estimates.items():
+        files.append(_text_file(f"distribution_{name}.csv", tmdio._distribution_text(dist, sigma)))
+    if arms == ("collective",):
+        collective, _ = estimates["collective"]
+        probs = collective.probs
+        odd_mass, even_mass = float(probs[1::2].sum()), float(probs[0::2].sum())
+        return files, {
+            "collective_probabilities": probs,
+            "collective_mean": collective.mean,
+            "odd_mass": odd_mass,
+            "even_mass": even_mass,
+            "max_odd_entry": float(probs[1::2].max()),
+            "odd_to_even_ratio": odd_mass / even_mass if even_mass > 0 else "inf",
         }
-        add("metrics", "metrics.json", metrics)
-    return docs, files
+    if len(arms) == 2:
+        joint = _joint_metrics(estimates["joint"][0])
+        raw = _joint_metrics(JointPhotonDistribution(tables["joint"].frequencies))
+        metrics = {"format_version": tmdio.FORMAT_VERSION, "kind": "metrics"}
+        files.append(_json_file("metrics.json", {**metrics, "joint": joint, "raw": raw}))
+        return files, {
+            "correlation": joint["correlation"],
+            "raw_correlation": raw["correlation"],
+            "squeezing_db": joint["squeezing_db"],
+            "raw_squeezing_db": raw["squeezing_db"],
+            "signal_mean": joint["signal_mean"],
+            "idler_mean": joint["idler_mean"],
+        }
+    # a heralded run: keys are named after the arm that holds the TMD
+    (arm,) = arms
+    dist, sigma = estimates[arm]
+    fit = _fit_doc(dist)
+    files.append(_json_file("fit.json", fit))
+    # the constrained estimate has no error bars, so its summary names none
+    errors = {} if sigma is None else {f"{arm}_sigma": sigma}
+    return files, {
+        f"{arm}_mean": dist.mean,
+        f"{arm}_probabilities": dist.probs,
+        **errors,
+        f"klyshko_{arm}": calibration[arm]["efficiency"],
+        "fit_poisson_residual": fit["poisson"]["residual_l2"],
+        "fit_thermal_residual": fit["thermal"]["residual_l2"],
+        "preferred_family": fit["preferred"],
+    }
 
 
 def run_simulation(
@@ -380,9 +375,8 @@ def _extract(
     return None
 
 
-# Keys a document may carry a single distribution vector under, in order of preference.
-# A heralded chain's reconstruction carries one arm vector, so the idler-first order
-# matters only for ``--in`` documents that carry both arms.
+# Keys an ``--in`` document may carry a single distribution vector under, in order of
+# preference; of a two-arm reconstruction, the idler, the arm stock heralded runs invert.
 _VECTOR_KEYS = ("distribution", "collective", "idler", "signal")
 
 
@@ -406,56 +400,16 @@ def run_metrics_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
 
 
 def run_fit_file(in_path: str | Path, out_dir: str | Path) -> RunOutput:
-    """Fit the one-parameter families to a stored distribution document."""
-    doc = _fit_doc(tmdio.read_json_doc(in_path))
+    """Family fits to a document's first ``_VECTOR_KEYS`` vector, else to its joint idler marginal."""
+    stored = tmdio.read_json_doc(in_path)
+    dist = _extract(stored, _VECTOR_KEYS, PhotonDistribution)
+    if dist is None:
+        joint = _extract(stored, ("joint",), JointPhotonDistribution)
+        if joint is None:
+            raise DataFormatError("document carries no distribution vector to fit")
+        dist = marginals(joint)[1]
+    doc = _fit_doc(dist)
     return RunOutput(doc, _write_files(out_dir, [_json_file("fit.json", doc)]))
-
-
-def _summary(config: ExperimentConfig, docs: dict) -> dict:
-    """Headline numbers of a run, read from its stage documents by the role of each arm."""
-    arms = _arms(config)
-    if arms == ("collective",):
-        collective = docs["reconstruct"]["collective"]
-        probs = np.asarray(collective["probabilities"], dtype=float)
-        odd_mass, even_mass = float(probs[1::2].sum()), float(probs[0::2].sum())
-        return {
-            "collective_probabilities": probs,
-            "collective_mean": collective["mean"],
-            "odd_mass": odd_mass,
-            "even_mass": even_mass,
-            "max_odd_entry": float(probs[1::2].max()),
-            "odd_to_even_ratio": odd_mass / even_mass if even_mass > 0 else "inf",
-        }
-    if len(arms) == 2:
-        joint, raw = docs["metrics"]["joint"], docs["metrics"]["raw"]
-        return {
-            "correlation": joint["correlation"],
-            "raw_correlation": raw["correlation"],
-            "squeezing_db": joint["squeezing_db"],
-            "raw_squeezing_db": raw["squeezing_db"],
-            "signal_mean": joint["signal_mean"],
-            "idler_mean": joint["idler_mean"],
-        }
-    calibration = docs["calibrate"]
-    if not arms:
-        both = ("signal", "idler")
-        return {
-            **{f"klyshko_{arm}": calibration[arm]["efficiency"] for arm in both},
-            **{f"klyshko_{arm}_uncertainty": calibration[arm]["uncertainty"] for arm in both},
-            **{f"true_{arm}_efficiency": calibration[arm]["configured_efficiency"] for arm in both},
-        }
-    # a heralded run: keys are named after the arm that holds the TMD
-    (arm,) = arms
-    recon, fit = docs["reconstruct"][arm], docs["fit"]
-    return {
-        f"{arm}_mean": recon["mean"],
-        f"{arm}_probabilities": recon["probabilities"],
-        f"{arm}_sigma": recon.get("sigma"),
-        f"klyshko_{arm}": calibration[arm]["efficiency"],
-        "fit_poisson_residual": fit["poisson"]["residual_l2"],
-        "fit_thermal_residual": fit["thermal"]["residual_l2"],
-        "preferred_family": fit["preferred"],
-    }
 
 
 def run_replicate(
@@ -473,14 +427,14 @@ def run_replicate(
     """
     config_file = _json_file("config.json", tmdio.serialize_config(config))
     _, tables, simulation_files = _simulation(config, emit_shots)
-    docs, analysis_files = _analysis(config, tables, constrained)
+    analysis_files, headline = _analysis(config, tables, constrained)
     summary = {
         "format_version": tmdio.FORMAT_VERSION,
         "kind": "summary",
         "setup": config.setup,
         "shots": config.shots,
         "seed": config.seed,
-        **_summary(config, docs),
+        **headline,
     }
     files = [config_file, *simulation_files, *analysis_files, _json_file("summary.json", summary)]
     return RunOutput(summary, _write_files(out_dir, files))

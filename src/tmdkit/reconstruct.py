@@ -134,7 +134,8 @@ def _click_frequencies(tmds: tuple[TMDConfig, ...], clicks) -> tuple[np.ndarray,
 
     Exact click distributions (from the forward model or the
     infinite-data limit) carry no shot count and hence no counting
-    noise.
+    noise.  Neither does a bare array, so raw counts and frequencies
+    alike are scaled to sum to one.
     """
     if isinstance(clicks, ClickStatistics):
         rho, shots = clicks.frequencies, clicks.total_shots
@@ -142,6 +143,10 @@ def _click_frequencies(tmds: tuple[TMDConfig, ...], clicks) -> tuple[np.ndarray,
         rho, shots = clicks.probs, None
     else:
         rho, shots = np.asarray(clicks, dtype=float), None
+        total = float(rho.sum())
+        if not total > 0.0:
+            raise DomainError(f"click array sums to {total!r}; expected a positive total")
+        rho = rho / total
     expected = tuple(tmd.bins + 1 for tmd in tmds)
     if rho.shape != expected:
         raise DomainError(f"click array shape {rho.shape} does not match {expected}")
@@ -216,9 +221,10 @@ def propagate_errors(
     calibration term is the exact first-order sensitivity to the
     efficiency, for square and rectangular detectors alike, and holds for
     any efficiency above zero.  ``clicks`` may be raw statistics (shot
-    count taken from them) or an exact click distribution, in which case
-    ``shots`` sets the counting term; leaving it unset models the
-    infinite-data limit where only the efficiency term survives.
+    count taken from them, so ``shots`` must be unset) or an exact click
+    distribution, in which case ``shots`` sets the counting term; leaving
+    it unset models the infinite-data limit where only the efficiency
+    term survives.
 
     Args:
         tmd: detector model used for the inversion.
@@ -234,6 +240,8 @@ def propagate_errors(
         raise DomainError("sigma_eta must be finite and non-negative")
     conv, loss = _stages(tmd)
     rho, counted = _click_frequencies((tmd,), clicks)
+    if counted is not None and shots is not None:
+        raise DomainError("shots is for exact clicks; a ClickStatistics carries its own count")
     if shots is None:
         shots = counted
 

@@ -579,6 +579,18 @@ class TestReplicate:
             assert sep and "[" not in line, line
             assert value == str(summary[key])
 
+    @pytest.mark.parametrize("layout", ["A", "B", "C", "D"])
+    def test_constrained_summary_names_no_missing_number(self, tmp_path, capsys, layout):
+        # the constrained estimate has no error bars, so no summary key stands for them
+        out = tmp_path / "out"
+        assert run_cli("replicate", layout, "--shots", 20_000, "--constrained", "--out", out) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert not [line for line in lines if line.endswith("None")]
+        summary = read_json_doc(out / "summary.json")
+        assert None not in summary.values()
+        if layout == "B":
+            assert "idler_mean" in summary and "idler_sigma" not in summary
+
     def test_swapped_heralded_layout_reports_the_signal_arm(self, tmp_path):
         config = write_config(tmp_path / "config.json", {
             "setup": "B",

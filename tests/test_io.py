@@ -36,10 +36,10 @@ from tmdkit.io import (
     _PARSE_BLOCK_CHARS,
     _SHOT_BLOCK_ROWS,
     _STOCK_LAYOUTS,
+    _clicks_text,
+    _distribution_text,
     atomic_write_text,
     jsonable,
-    write_clicks_csv,
-    write_distribution_csv,
 )
 
 
@@ -832,54 +832,39 @@ class TestShotFileProperties:
 
 
 class TestTableFiles:
-    def test_distribution_table(self, tmp_path):
-        path = tmp_path / "dist.csv"
-        write_distribution_csv(path, PhotonDistribution([0.25, 0.75]))
-        lines = path.read_text().splitlines()
+    def test_distribution_table(self):
+        lines = _distribution_text(PhotonDistribution([0.25, 0.75])).splitlines()
         assert lines[0] == "n,probability"
         assert lines[1] == "0,0.25"
         assert float(lines[2].split(",")[1]) == 0.75
 
-    def test_distribution_table_with_sigma(self, tmp_path):
-        path = tmp_path / "dist.csv"
-        write_distribution_csv(path, PhotonDistribution([0.25, 0.75]), sigma=np.array([0.01, 0.02]))
-        lines = path.read_text().splitlines()
+    def test_distribution_table_with_sigma(self):
+        lines = _distribution_text(PhotonDistribution([0.25, 0.75]), np.array([0.01, 0.02])).splitlines()
         assert lines[0] == "n,probability,sigma"
         assert lines[1].split(",")[2] == "0.01"
 
-    def test_sigma_length_must_match(self, tmp_path):
+    def test_sigma_length_must_match(self):
         with pytest.raises(DomainError):
-            write_distribution_csv(
-                tmp_path / "x.csv", PhotonDistribution([1.0]), sigma=np.array([0.1, 0.2])
-            )
+            _distribution_text(PhotonDistribution([1.0]), np.array([0.1, 0.2]))
 
-    def test_joint_table(self, tmp_path):
-        path = tmp_path / "joint.csv"
-        write_distribution_csv(path, JointPhotonDistribution([[0.5, 0.0], [0.0, 0.5]]))
-        lines = path.read_text().splitlines()
+    def test_joint_table(self):
+        lines = _distribution_text(JointPhotonDistribution([[0.5, 0.0], [0.0, 0.5]])).splitlines()
         assert lines[0] == "signal_n,idler_n,probability"
         assert len(lines) == 5
         with pytest.raises(DomainError):
-            write_distribution_csv(
-                path, JointPhotonDistribution([[1.0]]), sigma=np.array([0.1])
-            )
+            _distribution_text(JointPhotonDistribution([[1.0]]), np.array([0.1]))
 
-    def test_clicks_table(self, tmp_path):
-        path = tmp_path / "clicks.csv"
-        write_clicks_csv(path, ClickStatistics(np.array([3, 1]), 4))
-        lines = path.read_text().splitlines()
+    def test_clicks_table(self):
+        lines = _clicks_text(ClickStatistics(np.array([3, 1]), 4)).splitlines()
         assert lines[0] == "clicks,count,frequency"
         assert lines[1] == "0,3,0.75"
 
-    def test_joint_clicks_table(self, tmp_path):
-        path = tmp_path / "clicks.csv"
-        write_clicks_csv(path, ClickStatistics(np.array([[2, 1], [0, 1]]), 4))
-        lines = path.read_text().splitlines()
+    def test_joint_clicks_table(self):
+        lines = _clicks_text(ClickStatistics(np.array([[2, 1], [0, 1]]), 4)).splitlines()
         assert lines[0] == "signal_clicks,idler_clicks,count,frequency"
         assert lines[1] == "0,0,2,0.5"
         # signal rows, idler columns, idler index running fastest
-        write_clicks_csv(path, ClickStatistics(np.arange(12).reshape(3, 4), 66))
-        lines = path.read_text().splitlines()
+        lines = _clicks_text(ClickStatistics(np.arange(12).reshape(3, 4), 66)).splitlines()
         assert len(lines) == 13
         assert lines[2] == f"0,1,1,{1 / 66!r}"
         assert lines[5] == f"1,0,4,{4 / 66!r}"

@@ -3,6 +3,8 @@
 import hashlib
 import sys
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,17 @@ from tmdkit import (
 )
 from tmdkit import montecarlo
 from tmdkit.montecarlo import _BLOCK, _chunk_rng, _click_histogram, _pair_cdf, _readout, _sample_pairs
-from tmdkit.pipelines import _arms, _klyshko, _stages
+from tmdkit.pipelines import _arms, _klyshko, run_replicate
+
+# JSON documents of a calibrated run, in writing order, with the stage its inverted arms call for
+CALIBRATED = ["config.json", "simulation.json", "calibration.json", "reconstruction.json"]
+HERALDED = [*CALIBRATED, "fit.json", "summary.json"]
+JOINT = [*CALIBRATED, "metrics.json", "summary.json"]
+
+
+def stage_documents(config, out_dir):
+    """Names of the JSON documents a replicate run of ``config`` writes, in writing order."""
+    return [Path(path).name for path in run_replicate(config, out_dir).paths if path.endswith(".json")]
 
 
 def poisson_setup_d(shots=100_000, seed=42):
@@ -66,7 +78,7 @@ class TestExperimentConfig:
                 seed=0,
             )
 
-    def test_calibration_layout_with_a_tmd_runs_the_heralded_chain(self):
+    def test_calibration_layout_with_a_tmd_runs_the_heralded_chain(self, tmp_path):
         config = ExperimentConfig(
             source=SourceModel.fock_pairs(1),
             setup="A",
@@ -76,9 +88,9 @@ class TestExperimentConfig:
             seed=0,
         )
         assert _arms(config) == ("signal",)
-        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "fit")
+        assert stage_documents(config, tmp_path) == HERALDED
 
-    def test_single_tmd_layout_with_two_tmds_runs_the_joint_chain(self):
+    def test_single_tmd_layout_with_two_tmds_runs_the_joint_chain(self, tmp_path):
         config = ExperimentConfig(
             source=SourceModel.fock_pairs(1),
             setup="B",
@@ -88,7 +100,9 @@ class TestExperimentConfig:
             seed=0,
         )
         assert _arms(config) == ("signal", "idler")
-        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "metrics")
+        # one pair per shot has no number variance, so the joint metrics need a thermal source
+        thermal = replace(config, source=SourceModel.single_mode_squeezer(0.5), shots=4000)
+        assert stage_documents(thermal, tmp_path) == JOINT
 
     def test_shared_layout_needs_matching_bins(self):
         with pytest.raises(DomainError):
@@ -101,7 +115,7 @@ class TestExperimentConfig:
                 seed=0,
             )
 
-    def test_dual_layout_with_a_threshold_arm_runs_the_heralded_chain(self):
+    def test_dual_layout_with_a_threshold_arm_runs_the_heralded_chain(self, tmp_path):
         config = ExperimentConfig(
             source=SourceModel.fock_pairs(1),
             setup="D",
@@ -111,7 +125,7 @@ class TestExperimentConfig:
             seed=0,
         )
         assert _arms(config) == ("idler",)
-        assert _stages(config) == ("simulate", "calibrate", "reconstruct", "fit")
+        assert stage_documents(config, tmp_path) == HERALDED
 
     def test_rejects_bad_run_parameters(self):
         good = dict(

@@ -97,6 +97,19 @@ class TestInvertSingle:
         scaled = invert_single(tmd, rho * 1000.0)
         exact = invert_single(tmd, rho)
         np.testing.assert_allclose(scaled.dist.probs, exact.dist.probs, atol=1e-12)
+        with pytest.raises(DomainError):
+            invert_single(tmd, np.zeros(5))
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_raw_count_array_matches_click_statistics(self, constrained):
+        # a bare array carries no shot count, so its counts are scaled like a histogram's
+        tmd = TMDConfig.uniform(8, efficiency=0.3)
+        law = forward(tmd, thermal_dist(0.8, 8)).probs
+        counts = np.random.default_rng(3).multinomial(1_000_000, law / law.sum())
+        bare = invert_single(tmd, counts, constrained)
+        counted = invert_single(tmd, ClickStatistics(counts, 1_000_000), constrained)
+        np.testing.assert_array_equal(bare.dist.probs, counted.dist.probs)
+        assert bare.residual == counted.residual
 
     def test_rejects_wrong_histogram_size(self):
         tmd = TMDConfig.uniform(4, efficiency=0.6)
@@ -148,6 +161,17 @@ class TestInvertJoint:
         tmd = TMDConfig.uniform(4, efficiency=0.5)
         with pytest.raises(DomainError):
             invert_joint(tmd, tmd, np.ones((5, 4)) / 20.0)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_raw_count_matrix_matches_click_statistics(self, constrained):
+        tmd_s, tmd_i = TMDConfig.uniform(4, efficiency=0.5), TMDConfig.uniform(4, efficiency=0.3)
+        law = joint_forward(tmd_s, tmd_i, twin_beam_joint(thermal_dist(0.6, 4))).probs
+        rng = np.random.default_rng(5)
+        counts = rng.multinomial(1_000_000, law.ravel() / law.sum()).reshape(law.shape)
+        bare = invert_joint(tmd_s, tmd_i, counts, constrained)
+        counted = invert_joint(tmd_s, tmd_i, ClickStatistics(counts, 1_000_000), constrained)
+        np.testing.assert_array_equal(bare.dist.probs, counted.dist.probs)
+        assert bare.residual == counted.residual
 
     def test_counted_8_bin_estimate_is_flagged_not_rejected(self):
         # seed 57 gives entries near 1e7 whose renormalized sum misses 1 by
@@ -241,6 +265,10 @@ class TestPropagateErrors:
             propagate_errors(tmd, rho, sigma_eta=-0.1)
         with pytest.raises(DomainError):
             propagate_errors(tmd, rho, sigma_eta=0.0, shots=0)
+        # a histogram carries its own shot count, which ``shots`` must not override
+        clicks = ClickStatistics(np.array([500, 300, 150, 40, 10]), 1000)
+        with pytest.raises(DomainError):
+            propagate_errors(tmd, clicks, sigma_eta=0.0, shots=100)
 
     def test_tiny_efficiency_has_finite_covariance(self):
         tmd = TMDConfig.uniform(4, efficiency=5e-7)
