@@ -19,6 +19,10 @@ from .stats import JointPhotonDistribution, PhotonDistribution, combine_collecti
 
 # The simulator packs one bin per bit of a uint32 click mask.
 MAX_BINS = 32
+# Config integers become numpy sizes and indices: a photon number or
+# cutoff (n_max) is at most MAX_PHOTONS, and any other count at most _INT64_MAX.
+MAX_PHOTONS = 4096
+_INT64_MAX = int(np.iinfo(np.int64).max)
 BIN_PROB_ATOL = 1e-12
 STOCHASTIC_ATOL = 1e-12
 
@@ -37,15 +41,20 @@ def _checked_bin_probs(bin_probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class TMDConfig:
     """Geometry and efficiency of one time-multiplexed detector.
 
     ``bin_probs`` holds the probability for a photon to land in each
     bin, ``efficiency`` the survival probability applied upstream of the
-    bins, and ``n_max`` the photon-number cutoff the detector model is
-    built for.  The detector model is built on first use and kept, so
-    one object checks its stages once however often it is used.
+    bins, and ``n_max`` (at most ``MAX_PHOTONS``) the photon-number
+    cutoff the detector model is built for.  The detector model is built
+    on first use and kept, so one object checks its stages once however
+    often it is used.
     """
 
     bin_probs: np.ndarray
@@ -58,8 +67,8 @@ class TMDConfig:
         if not 0.0 <= eff <= 1.0:
             raise DomainError(f"efficiency {eff!r} outside [0, 1]")
         n_max = int(self.n_max)
-        if n_max < 0:
-            raise DomainError("n_max must be non-negative")
+        if not 0 <= n_max <= MAX_PHOTONS:
+            raise DomainError(f"n_max {n_max} outside [0, MAX_PHOTONS={MAX_PHOTONS}]")
         probs = np.array(probs, copy=True)
         probs.flags.writeable = False
         object.__setattr__(self, "bin_probs", probs)

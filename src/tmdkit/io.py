@@ -21,7 +21,7 @@ from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .detector import MAX_BINS, TMDConfig
+from .detector import _INT64_MAX, MAX_BINS, MAX_PHOTONS, TMDConfig, _is_int
 from .errors import ConfigError, DataFormatError, DomainError, TmdkitError
 from .montecarlo import SETUPS, ExperimentConfig, _click_histogram
 from .sources import SourceModel
@@ -41,10 +41,6 @@ _SOURCE_KINDS = {
     "poisson": (SourceModel.poissonian_pairs, ("mean",)),
     "fock": (SourceModel.fock_pairs, ("photons",)),
 }
-# Config integers become numpy sizes and indices; a photon number or
-# cutoff (n_max) a config gives or implies is at most MAX_PHOTONS.
-_INT64_MAX = int(np.iinfo(np.int64).max)
-MAX_PHOTONS = 4096
 # Least and greatest value of each integer source parameter; every other parameter is a mean.
 _SOURCE_COUNTS = {"modes": (1, _INT64_MAX), "photons": (0, MAX_PHOTONS)}
 
@@ -60,10 +56,6 @@ _STOCK_LAYOUTS = {
 }
 # Calibration uncertainty of every stock arm efficiency.
 _STOCK_SIGMA_ETA = 0.009
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _supported_version(doc: dict) -> bool:
@@ -294,10 +286,6 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     setup = _require(doc, "setup", "config")
     if setup not in SETUPS:
         raise ConfigError(f"setup must be one of {SETUPS}, got {setup!r}")
-    shots = _count(_require(doc, "shots", "config"), "shots", 1)
-    seed = _require(doc, "seed", "config")
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
     source = _parse_source(_require(doc, "source", "config"))
     _, (signal_bins, _), (idler_bins, _) = _STOCK_LAYOUTS[setup]
     tmd_signal, sigma_signal = _parse_detector(doc.get("signal"), "signal", signal_bins)
@@ -308,8 +296,8 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
             setup=setup,
             tmd_signal=tmd_signal,
             tmd_idler=tmd_idler,
-            shots=shots,
-            seed=int(seed),
+            shots=_require(doc, "shots", "config"),
+            seed=_require(doc, "seed", "config"),
             sigma_eta_signal=sigma_signal,
             sigma_eta_idler=sigma_idler,
         )
@@ -351,7 +339,10 @@ def _serialize_detector(tmd: TMDConfig, sigma: float) -> dict:
 
 
 def serialize_config(config: ExperimentConfig) -> dict:
-    """Normalized config document; parse(serialize(x)) reproduces x exactly."""
+    """Normalized config document; parse(serialize(x)) reproduces x exactly.
+
+    That holds for any config the library accepts, since its classes apply a config file's bounds.
+    """
     return {
         "format_version": FORMAT_VERSION,
         "setup": config.setup,

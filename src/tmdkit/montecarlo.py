@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .detector import TMDConfig
+from .detector import _INT64_MAX, TMDConfig, _is_int
 from .errors import DomainError
 from .sources import SourceModel
 from .stats import ClickStatistics
@@ -41,10 +41,11 @@ SETUPS = ("A", "B", "C", "D")
 class ExperimentConfig:
     """Source, measurement layout, detectors, and run length.
 
-    For the shared-detector layout ("C") both arm configs must describe
-    the same bin structure; only their efficiencies may differ.  The
-    ``sigma_eta_*`` fields carry calibration uncertainties through to
-    error propagation and do not affect the simulation itself.
+    ``shots`` and ``seed`` follow the config-file rules, in its wording, and
+    are stored as ``int``.  For the shared-detector layout ("C") both arms
+    must have the same bins and ``n_max``; only their efficiencies may
+    differ.  The ``sigma_eta_*`` fields carry calibration uncertainties
+    through to error propagation and do not affect the simulation.
     """
 
     source: SourceModel
@@ -59,14 +60,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.setup not in SETUPS:
             raise DomainError(f"setup must be one of {SETUPS}, got {self.setup!r}")
-        if self.setup == "C" and not np.array_equal(
-            self.tmd_signal.bin_probs, self.tmd_idler.bin_probs
-        ):
-            raise DomainError("setup C feeds both arms into one TMD; bin structures must match")
-        if self.shots <= 0:
-            raise DomainError("shots must be positive")
-        if self.seed < 0:
-            raise DomainError("seed must be non-negative")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise DomainError("shots must be a positive integer")
+        if self.shots > _INT64_MAX:
+            raise DomainError(f"shots must be at most {_INT64_MAX}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise DomainError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "seed", int(self.seed))
+        same_bins = np.array_equal(self.tmd_signal.bin_probs, self.tmd_idler.bin_probs)
+        if self.setup == "C" and not (same_bins and self.tmd_signal.n_max == self.tmd_idler.n_max):
+            raise DomainError("setup C feeds both arms into one TMD; bins and n_max must match")
         for sigma in (self.sigma_eta_signal, self.sigma_eta_idler):
             if not 0.0 <= sigma < 1.0:
                 raise DomainError("efficiency uncertainties must lie in [0, 1)")
@@ -258,6 +262,22 @@ def _simulate(
     return np.sum(histograms, axis=0).reshape(shape), kept
 
 
+def _tables(histogram: np.ndarray, shots: int) -> dict[str, ClickStatistics]:
+    """Named click tables of a run's histogram, which has one axis per detector.
+
+    A single axis is the shared detector of merged beams (``collective``);
+    two are the signal and idler arms, tabled as ``signal``, ``idler`` and
+    ``joint``.
+    """
+    if histogram.ndim == 1:
+        return {"collective": ClickStatistics(histogram, shots)}
+    return {
+        "signal": ClickStatistics(histogram.sum(axis=1), shots),
+        "idler": ClickStatistics(histogram.sum(axis=0), shots),
+        "joint": ClickStatistics(histogram, shots),
+    }
+
+
 def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> ExperimentResult:
     """Simulate the configured number of shots and histogram the clicks.
 
@@ -268,20 +288,11 @@ def run_experiment(config: ExperimentConfig, keep_shots: bool = False) -> Experi
     """
     if config.setup == "C":
         raise DomainError("setup C merges the arms; use run_collective_experiment")
-    joint, kept = _simulate(config, keep_shots)
-    signal_masks, idler_masks = kept if keep_shots else (None, None)
-    joint_clicks = ClickStatistics(joint, config.shots)
-    signal_singles, idler_singles, coincidences = _tallies(joint_clicks)
-    return ExperimentResult(
-        signal_clicks=ClickStatistics(joint.sum(axis=1), config.shots),
-        idler_clicks=ClickStatistics(joint.sum(axis=0), config.shots),
-        joint_clicks=joint_clicks,
-        signal_singles=signal_singles,
-        idler_singles=idler_singles,
-        coincidences=coincidences,
-        signal_masks=signal_masks,
-        idler_masks=idler_masks,
-    )
+    histogram, kept = _simulate(config, keep_shots)
+    tables = _tables(histogram, config.shots)
+    clicks = [tables[name] for name in ("signal", "idler", "joint")]
+    # fields in order: the three tables, their tallies, then the masks when kept
+    return ExperimentResult(*clicks, *_tallies(tables["joint"]), *(kept or (None, None)))
 
 
 def run_collective_experiment(
@@ -296,8 +307,6 @@ def run_collective_experiment(
     if config.setup != "C":
         raise DomainError("run_collective_experiment requires the shared-detector setup")
     histogram, kept = _simulate(config, keep_shots)
-    return CollectiveResult(
-        clicks=ClickStatistics(histogram, config.shots),
-        masks=kept[0] if keep_shots else None,
-    )
+    clicks = _tables(histogram, config.shots)["collective"]
+    return CollectiveResult(clicks, kept[0] if keep_shots else None)
 

@@ -17,15 +17,15 @@ repetition rate for rates per second.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tmdio
 from .detector import TMDConfig
-from .errors import DataFormatError, DomainError
-from .montecarlo import ExperimentConfig, _simulate, _tallies
+from .errors import ConfigError, DataFormatError, DomainError
+from .montecarlo import ExperimentConfig, _simulate, _tables, _tallies
 from .reconstruct import (
     CalibrationRecord,
     ReconstructionResult,
@@ -62,27 +62,23 @@ def default_config(setup: str, shots: int | None = None, seed: int | None = None
     """Stock configuration of a layout, validated like a config file; override any of it via one."""
     if setup not in tmdio._STOCK_LAYOUTS:
         raise DomainError(f"unknown setup {setup!r}")
-    shots = DEFAULT_SHOTS if shots is None else shots
-    seed = DEFAULT_SEED if seed is None else seed
-    return tmdio.config_from_doc(tmdio._stock_doc(setup, shots, seed))
+    stock = tmdio.config_from_doc(tmdio._stock_doc(setup, DEFAULT_SHOTS, DEFAULT_SEED))
+    return apply_overrides(stock, shots, seed)
 
 
 def apply_overrides(
     config: ExperimentConfig, shots: int | None = None, seed: int | None = None
 ) -> ExperimentConfig:
-    """Replace the shot count and/or seed, validated like a config file.
+    """Replace the shot count and/or seed; a bad value raises :class:`ConfigError`.
 
-    Bad values raise :class:`ConfigError`, so a run can never write a
-    ``config.json`` that :func:`tmdkit.io.parse_config` would reject.
+    :class:`ExperimentConfig` applies the config-file rules, in their wording, so a
+    run never writes a ``config.json`` that :func:`tmdkit.io.parse_config` rejects.
     """
-    if shots is None and seed is None:
-        return config
-    doc = tmdio.serialize_config(config)
-    if shots is not None:
-        doc["shots"] = shots
-    if seed is not None:
-        doc["seed"] = seed
-    return tmdio.config_from_doc(doc)
+    given = {"shots": shots, "seed": seed}
+    try:
+        return replace(config, **{name: value for name, value in given.items() if value is not None})
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _simulation_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics]) -> dict:
@@ -254,21 +250,9 @@ def _write_files(out_dir: str | Path, files: list[_File]) -> tuple[str, ...]:
 def _simulation(
     config: ExperimentConfig, emit_shots: bool
 ) -> tuple[dict, dict[str, ClickStatistics], list[_File]]:
-    """Simulate one run; return its document, click tables by name and unwritten files.
-
-    The histogram has one axis per detector: a single axis is the shared
-    detector of merged beams (``collective``), two are the signal and
-    idler arms, tabled as ``signal``, ``idler`` and ``joint``.
-    """
+    """Simulate one run; return its document, click tables by name and unwritten files."""
     histogram, masks = _simulate(config, emit_shots)
-    if histogram.ndim == 1:
-        tables = {"collective": ClickStatistics(histogram, config.shots)}
-    else:
-        tables = {
-            "signal": ClickStatistics(histogram.sum(axis=1), config.shots),
-            "idler": ClickStatistics(histogram.sum(axis=0), config.shots),
-            "joint": ClickStatistics(histogram, config.shots),
-        }
+    tables = _tables(histogram, config.shots)
     doc = _simulation_doc(config, tables)
     files = [_json_file("simulation.json", doc)]
     files += [_text_file(f"clicks_{arm}.csv", tmdio._clicks_text(c)) for arm, c in tables.items()]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import _INT64_MAX, MAX_PHOTONS, _is_int
 from .errors import DomainError
 from .stats import (
     JointPhotonDistribution,
@@ -59,8 +60,8 @@ def multimode_pair_dist(modes: int, total_mean: float, n_max: int | None = None)
     Each mode is thermal with mean total_mean / M; their sum follows a
     negative binomial law that approaches a Poissonian as M grows.
     """
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise DomainError("modes must be a positive integer")
+    if not _is_int(modes) or not 1 <= modes <= _INT64_MAX:
+        raise DomainError(f"modes must be an integer in [1, {_INT64_MAX}]")
     if n_max is None:
         n_max = default_n_max(total_mean)
     return PhotonDistribution(negative_binomial_probs(total_mean, n_max, modes))
@@ -79,7 +80,9 @@ class SourceModel:
 
     The named constructors record their parameters (``mean``, ``modes``,
     ``photons``) so a source built from a config can be serialized back
-    to the same config.
+    to the same config; like a config's, such a source's pair number
+    stops at ``MAX_PHOTONS``.  A source without them (``custom``) may run
+    longer, since it serializes as its pair distribution.
     """
 
     pair_dist: PhotonDistribution
@@ -91,6 +94,9 @@ class SourceModel:
     def __post_init__(self) -> None:
         if self.pair_dist.probs.min() < 0.0:
             raise DomainError("pair distribution must be non-negative")
+        recorded = (self.mean, self.modes, self.photons) != (None, None, None)
+        if recorded and self.pair_dist.n_max > MAX_PHOTONS:
+            raise DomainError(f"pair cutoff {self.pair_dist.n_max} exceeds MAX_PHOTONS={MAX_PHOTONS}")
 
     @property
     def joint(self) -> JointPhotonDistribution:

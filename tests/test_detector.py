@@ -21,7 +21,7 @@ from tmdkit import (
     loss_matrix,
     twin_beam_joint,
 )
-from tmdkit.detector import MAX_BINS, _column_stochastic
+from tmdkit.detector import MAX_BINS, MAX_PHOTONS, _column_stochastic
 
 
 def occupancy_by_enumeration(bin_probs, n):
@@ -174,6 +174,13 @@ class TestTMDConfig:
     def test_rejects_bad_efficiency(self):
         with pytest.raises(DomainError):
             TMDConfig(np.array([1.0]), 1.5, 1)
+
+    def test_cutoff_is_bounded_like_a_config_file(self):
+        # so every detector's n_max reads back from the config.json it writes
+        assert TMDConfig.uniform(1, n_max=MAX_PHOTONS).n_max == MAX_PHOTONS
+        for n_max in (-1, MAX_PHOTONS + 1):
+            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+                TMDConfig(np.array([1.0]), 0.117, n_max)
 
     def test_bin_probs_are_immutable(self):
         tmd = TMDConfig.uniform(3)

@@ -4,10 +4,11 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmdkit import (
@@ -22,6 +23,7 @@ from tmdkit import (
     SourceModel,
     TMDConfig,
     config_from_doc,
+    default_config,
     ingest_shots,
     parse_config,
     read_json_doc,
@@ -32,6 +34,7 @@ from tmdkit import (
     write_shots,
 )
 import tmdkit.io as tmdio
+from tmdkit.detector import MAX_BINS, MAX_PHOTONS
 from tmdkit.io import (
     _PARSE_BLOCK_CHARS,
     _SHOT_BLOCK_ROWS,
@@ -144,6 +147,8 @@ class TestConfigRoundtrip:
         SourceModel.poissonian_pairs(0.2, n_max=8),
         SourceModel.fock_pairs(1),
         SourceModel(PhotonDistribution([0.25, 0.5, 0.25]), "custom"),
+        # a custom source is written as its list, so it may pass MAX_PHOTONS
+        SourceModel(PhotonDistribution(np.full(MAX_PHOTONS + 2, 1.0 / (MAX_PHOTONS + 2))), "custom"),
     ])
     def test_every_source_kind(self, source):
         config = build_config(source=source)
@@ -398,6 +403,102 @@ class TestStockLayouts:
         config = config_from_doc(doc)
         assert (config.tmd_signal, config.tmd_idler) == tuple(TMDConfig.uniform(b) for b in bins)
         assert (config.sigma_eta_signal, config.sigma_eta_idler) == (0.0, 0.0)
+
+
+def _probabilities(size):
+    """Lists of ``size`` positive numbers that sum to one."""
+    weights = st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)
+    return weights.map(lambda w: [x / sum(w) for x in w])
+
+
+@st.composite
+def _config_docs(draw):
+    """Config documents of every source kind and detector form, with values at their bounds too."""
+    kind = draw(st.sampled_from(["thermal", "multimode", "poisson", "fock", "custom"]))
+    source = {"kind": kind}
+    if kind == "custom":
+        source["pair_dist"] = draw(st.integers(1, 8).flatmap(_probabilities))
+    else:
+        if kind == "fock":
+            source["photons"] = draw(st.integers(0, MAX_PHOTONS))
+        else:
+            # past about 255 a mean implies a cutoff above MAX_PHOTONS
+            source["mean"] = draw(st.floats(0.0, 260.0))
+        if kind == "multimode":
+            source["modes"] = draw(st.integers(1, 2**63 - 1))
+        if draw(st.booleans()):
+            source["n_max"] = draw(st.integers(0, MAX_PHOTONS))
+    doc = {
+        "setup": draw(st.sampled_from(SETUPS)),
+        "source": source,
+        "shots": draw(st.integers(1, 2**63 - 1)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    for arm in ("signal", "idler"):
+        block = draw(st.fixed_dictionaries({}, optional={
+            "efficiency": st.floats(0.0, 1.0),
+            "efficiency_uncertainty": st.floats(0.0, 0.99),
+            "n_max": st.integers(0, MAX_PHOTONS),
+        }))
+        form = draw(st.sampled_from(["stock", "bins", "bin_probs"]))
+        if form == "bins":
+            block["bins"] = draw(st.integers(1, MAX_BINS))
+        elif form == "bin_probs":
+            block["bin_probs"] = draw(st.integers(1, MAX_BINS).flatmap(_probabilities))
+        if block or draw(st.booleans()):
+            doc[arm] = block
+    if doc["setup"] == "C" and draw(st.booleans()):
+        # merged arms share one detector; only their efficiencies may differ
+        doc["idler"] = {**doc.get("signal", {}), "efficiency": draw(st.floats(0.0, 1.0))}
+    return doc
+
+
+def _reread(config):
+    """``config`` written as its config.json text and parsed back."""
+    return config_from_doc(json.loads(tmdio._json_text(serialize_config(config))))
+
+
+_RUN_MESSAGES = {
+    "shots must be a positive integer",
+    "shots must be at most 9223372036854775807",
+    "seed must be an unsigned 64-bit integer",
+}
+_RUN_VALUES = st.integers(-1, 2**65) | st.sampled_from(
+    [True, False, -1, 0, 1.5, "1", None, 2**63 - 1, 2**63, 2**64 - 1, 2**64]
+)
+
+
+class TestConfigRoundtripProperties:
+    """A config the library or a file accepts is written as a config.json that reads back equal."""
+
+    @given(doc=_config_docs())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_accepted_document_reads_back(self, doc):
+        try:
+            config = config_from_doc(doc)
+        except ConfigError:
+            return
+        assert _reread(config) == config
+
+    @given(setup=st.sampled_from(SETUPS), shots=_RUN_VALUES, seed=_RUN_VALUES)
+    @example(setup="A", shots=True, seed=1)
+    @example(setup="B", shots=2**63, seed=1)
+    @example(setup="C", shots=1, seed=2**64)
+    @example(setup="D", shots=1, seed=-1)
+    @example(setup="D", shots=1, seed=True)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_replaced_run_parameters_read_back(self, setup, shots, seed):
+        stock = default_config(setup)
+        try:
+            config = replace(stock, shots=shots, seed=seed)
+        except DomainError as exc:
+            assert str(exc) in _RUN_MESSAGES
+            # a config file with the same values is refused in the same words
+            with pytest.raises(ConfigError) as info:
+                config_from_doc(serialize_config(stock) | {"shots": shots, "seed": seed})
+            assert str(info.value) == str(exc)
+            return
+        assert _reread(config) == config
 
 
 class TestShotFiles:

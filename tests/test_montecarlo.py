@@ -105,15 +105,18 @@ class TestExperimentConfig:
         assert stage_documents(thermal, tmp_path) == JOINT
 
     def test_shared_layout_needs_matching_bins(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                source=SourceModel.fock_pairs(1),
-                setup="C",
-                tmd_signal=TMDConfig.uniform(4, efficiency=0.5),
-                tmd_idler=TMDConfig.uniform(8, efficiency=0.5),
-                shots=10,
-                seed=0,
-            )
+        # the merged arms are read, and so inverted, as one detector
+        for idler in (TMDConfig.uniform(8, efficiency=0.5), TMDConfig.uniform(4, 0.5, n_max=8)):
+            with pytest.raises(DomainError) as info:
+                ExperimentConfig(
+                    source=SourceModel.fock_pairs(1),
+                    setup="C",
+                    tmd_signal=TMDConfig.uniform(4, efficiency=0.5),
+                    tmd_idler=idler,
+                    shots=10,
+                    seed=0,
+                )
+            assert str(info.value) == "setup C feeds both arms into one TMD; bins and n_max must match"
 
     def test_dual_layout_with_a_threshold_arm_runs_the_heralded_chain(self, tmp_path):
         config = ExperimentConfig(
@@ -134,12 +137,28 @@ class TestExperimentConfig:
             tmd_signal=TMDConfig.uniform(4),
             tmd_idler=TMDConfig.uniform(4),
         )
-        with pytest.raises(DomainError):
-            ExperimentConfig(shots=0, seed=0, **good)
-        with pytest.raises(DomainError):
-            ExperimentConfig(shots=10, seed=-1, **good)
+        # the config-file rules, in its wording
+        positive = "shots must be a positive integer"
+        unsigned = "seed must be an unsigned 64-bit integer"
+        for shots, seed, message in [
+            (0, 0, positive),
+            (1.5, 0, positive),
+            (True, 0, positive),
+            (2**63, 0, "shots must be at most 9223372036854775807"),
+            (10, -1, unsigned),
+            (10, 2**64, unsigned),
+            (10, True, unsigned),
+            (10, 1.0, unsigned),
+        ]:
+            with pytest.raises(DomainError) as info:
+                ExperimentConfig(shots=shots, seed=seed, **good)
+            assert str(info.value) == message
         with pytest.raises(DomainError):
             ExperimentConfig(shots=10, seed=0, sigma_eta_signal=1.0, **good)
+        # accepted values are stored as int
+        config = ExperimentConfig(shots=np.int64(2**63 - 1), seed=np.uint64(2**64 - 1), **good)
+        assert (type(config.shots), type(config.seed)) == (int, int)
+        assert (config.shots, config.seed) == (2**63 - 1, 2**64 - 1)
 
 
 class TestRunExperiment:

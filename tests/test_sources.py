@@ -17,6 +17,7 @@ from tmdkit import (
     thermal_dist,
     twin_beam_joint,
 )
+from tmdkit.detector import MAX_PHOTONS
 from tmdkit.stats import thermal_probs
 
 
@@ -96,6 +97,10 @@ class TestMultimodePairs:
             multimode_pair_dist(0, 1.0)
         with pytest.raises(DomainError):
             multimode_pair_dist(2, -0.5)
+        # a config file holds no other mode count, so none is built
+        for modes in (True, 2**63):
+            with pytest.raises(DomainError, match="modes"):
+                multimode_pair_dist(modes, 1.0)
 
 
 class TestTwinBeamJoint:
@@ -145,3 +150,14 @@ class TestSourceModel:
         assert a == b
         assert a != SourceModel.poissonian_pairs(0.3, n_max=8)
         assert a != SourceModel.single_mode_squeezer(0.2, n_max=8)
+
+    def test_recorded_parameters_bound_the_cutoff(self):
+        # a source serialized by its parameters reads back only up to MAX_PHOTONS
+        assert SourceModel.fock_pairs(1, n_max=MAX_PHOTONS).pair_dist.n_max == MAX_PHOTONS
+        for build in (
+            lambda: SourceModel.single_mode_squeezer(300.0),
+            lambda: SourceModel.poissonian_pairs(0.2, n_max=MAX_PHOTONS + 1),
+            lambda: SourceModel.multimode_pdc(2, 0.2, n_max=MAX_PHOTONS + 1),
+        ):
+            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+                build()
