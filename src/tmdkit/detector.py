@@ -66,6 +66,8 @@ class TMDConfig:
         eff = float(self.efficiency)
         if not 0.0 <= eff <= 1.0:
             raise DomainError(f"efficiency {eff!r} outside [0, 1]")
+        if not _is_int(self.n_max):
+            raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
         n_max = int(self.n_max)
         if not 0 <= n_max <= MAX_PHOTONS:
             raise DomainError(f"n_max {n_max} outside [0, MAX_PHOTONS={MAX_PHOTONS}]")

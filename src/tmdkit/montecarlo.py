@@ -8,7 +8,9 @@ so for a given seed and ``CHUNK_SIZE`` a run is reproducible no matter
 how the chunks are scheduled: every usable core runs a share of them,
 and the outputs do not depend on how many cores there are.  Within a
 chunk each stage runs a block of ``_BLOCK`` shots at a time, in the
-chunk's stream order, so a chunk in flight holds little memory.
+chunk's stream order, so a chunk in flight holds little memory.  Only
+the shots that carry a pair go past pair sampling; a later stage would
+draw nothing for the others, so they go straight to the all-dark cell.
 """
 
 from __future__ import annotations
@@ -139,13 +141,23 @@ def _pair_cdf(source: SourceModel) -> np.ndarray:
     return cdf
 
 
-def _sample_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+def _sample_pairs(
+    rng: np.random.Generator, cdf: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk positions and pair numbers of the shots, among ``size``, that carry a pair."""
+    # a draw's index is at least 1 exactly when the draw is at least cdf[0];
     # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size;
-    # the dtype also holds the merged survivors of two arms
+    # the pair dtype also holds the merged survivors of two arms
+    positions = np.empty(size, dtype=np.int32)
     pairs = np.empty(size, dtype=np.min_scalar_type(2 * cdf.size))
+    count = 0
     for block in _blocks(size):
-        pairs[block] = np.searchsorted(cdf, rng.random(block.stop - block.start), side="right")
-    return pairs
+        draws = rng.random(block.stop - block.start)
+        lit = np.flatnonzero(draws >= cdf[0])
+        positions[count : count + lit.size] = lit + block.start
+        pairs[count : count + lit.size] = np.searchsorted(cdf, draws[lit], side="right")
+        count += lit.size
+    return positions[:count], pairs[:count]
 
 
 def _thin(rng: np.random.Generator, pairs: np.ndarray, efficiency: float) -> np.ndarray:
@@ -215,29 +227,37 @@ def _simulate(
     two-detector layouts, the shared detector alone for layout C.  With
     ``keep_shots`` the per-shot masks of each detector come back too.
     Worker w of n runs chunks w, w + n, w + 2n, ...; the calling thread
-    is worker 0.  Each worker sums its own histogram and writes its
-    chunks' masks at their place in the run.
+    is worker 0.  Each worker reads out only the shots that carry a pair,
+    sums its own histogram, counts the other shots in the all-dark cell,
+    and writes its chunks' masks at their place in the run.
     """
     merged = config.setup == "C"
     readout = _merged_masks if merged else _two_arm_masks
     tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
     shape = tuple(tmd.bins + 1 for tmd in tmds)
     cdf = _pair_cdf(config.source)
-    kept = [np.empty(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
+    kept = [np.zeros(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
     chunks = list(iter_shot_chunks(config.shots))
     workers = _worker_count(config.shots)
     histograms = [np.zeros(math.prod(shape), dtype=np.int64) for _ in range(workers)]
     errors: list[BaseException] = []
 
     def work(worker: int) -> None:
-        # without kept masks, one chunk's masks are reused for the next
-        stores = kept or [np.empty(CHUNK_SIZE, dtype=np.uint32) for _ in tmds]
+        # the masks of one chunk's pair-carrying shots; reused for the next chunk
+        stores = [np.empty(CHUNK_SIZE, dtype=np.uint32) for _ in tmds]
+        histogram = histograms[worker]
         for chunk_index, size in chunks[worker::workers]:
-            offset = chunk_index * CHUNK_SIZE if keep_shots else 0
-            outs = [store[offset : offset + size] for store in stores]
             rng = _chunk_rng(config.seed, chunk_index)
-            readout(rng, _sample_pairs(rng, cdf, size), config, outs)
-            histograms[worker] += _click_histogram(tuple(outs), shape)
+            positions, pairs = _sample_pairs(rng, cdf, size)
+            outs = [store[: pairs.size] for store in stores]
+            readout(rng, pairs, config, outs)
+            histogram += _click_histogram(tuple(outs), shape)
+            histogram[0] += size - pairs.size
+            if keep_shots:
+                # a shot without a pair clicks nowhere, and kept masks start at zero
+                offset = chunk_index * CHUNK_SIZE
+                for store, out in zip(kept, outs):
+                    store[offset : offset + size][positions] = out
 
     def helper(worker: int) -> None:
         try:

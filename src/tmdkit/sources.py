@@ -74,6 +74,14 @@ def twin_beam_joint(pair_dist: PhotonDistribution) -> JointPhotonDistribution:
     return JointPhotonDistribution(np.diag(pair_dist.probs))
 
 
+def _bounded_cutoff(mean: float, n_max: int | None) -> int:
+    """The pair cutoff a named source builds, checked before anything is built."""
+    cutoff = default_n_max(mean) if n_max is None else n_max
+    if cutoff > MAX_PHOTONS:
+        raise DomainError(f"pair cutoff {cutoff} exceeds MAX_PHOTONS={MAX_PHOTONS}")
+    return cutoff
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Twin-beam source described by its pair-number distribution.
@@ -105,13 +113,13 @@ class SourceModel:
     @classmethod
     def single_mode_squeezer(cls, mean: float, n_max: int | None = None) -> "SourceModel":
         """Single-mode parametric source: thermal pair statistics."""
-        return cls(thermal_dist(mean, n_max), "thermal", mean=float(mean))
+        return cls(thermal_dist(mean, _bounded_cutoff(mean, n_max)), "thermal", mean=float(mean))
 
     @classmethod
     def multimode_pdc(cls, modes: int, total_mean: float, n_max: int | None = None) -> "SourceModel":
         """Multimode parametric source: negative-binomial pair statistics."""
         return cls(
-            multimode_pair_dist(modes, total_mean, n_max),
+            multimode_pair_dist(modes, total_mean, _bounded_cutoff(total_mean, n_max)),
             "multimode",
             mean=float(total_mean),
             modes=int(modes),
@@ -120,7 +128,7 @@ class SourceModel:
     @classmethod
     def poissonian_pairs(cls, mean: float, n_max: int | None = None) -> "SourceModel":
         """Pair statistics of many weak independent modes."""
-        return cls(poisson_dist(mean, n_max), "poisson", mean=float(mean))
+        return cls(poisson_dist(mean, _bounded_cutoff(mean, n_max)), "poisson", mean=float(mean))
 
     @classmethod
     def fock_pairs(cls, n: int, n_max: int | None = None) -> "SourceModel":

@@ -159,7 +159,10 @@ def default_n_max(mean: float) -> int:
     """Truncation that keeps even thermal tails negligible for the given mean."""
     if mean < 0:
         raise DomainError("mean must be non-negative")
-    return max(10, math.ceil(mean + 15.0 * math.sqrt(mean * (1.0 + mean))))
+    tail = mean + 15.0 * math.sqrt(mean * (1.0 + mean))
+    if not math.isfinite(tail):
+        raise DomainError(f"mean {mean!r} implies no finite photon-number cutoff")
+    return max(10, math.ceil(tail))
 
 
 def moment(dist: PhotonDistribution, order: int) -> float:

@@ -182,6 +182,16 @@ class TestTMDConfig:
             with pytest.raises(DomainError, match="MAX_PHOTONS"):
                 TMDConfig(np.array([1.0]), 0.117, n_max)
 
+    @pytest.mark.parametrize("n_max", [2.7, 4.0, float("inf"), float("nan"), True, "4"])
+    def test_cutoff_must_be_an_integer(self, n_max):
+        # no silent truncation to 2, and no OverflowError from int(inf)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            TMDConfig.uniform(4, 0.5, n_max=n_max)
+
+    def test_numpy_integer_cutoff(self):
+        tmd = TMDConfig.uniform(4, 0.5, n_max=np.int64(6))
+        assert tmd.n_max == 6 and type(tmd.n_max) is int
+
     def test_bin_probs_are_immutable(self):
         tmd = TMDConfig.uniform(3)
         with pytest.raises(ValueError):

@@ -303,6 +303,8 @@ def _dense_readout(rng, photons, tmd):
 
 
 _GUARD_SHOTS = 2 * CHUNK_SIZE + 1
+# a source with a pair in one shot of 10,000
+_MOSTLY_DARK = SourceModel(PhotonDistribution(np.array([0.9999, 6e-5, 4e-5])), "custom")
 
 
 class TestStreamGuard:
@@ -342,6 +344,25 @@ class TestStreamGuard:
         # both took the same draws, so the rest of the stream is shared too
         np.testing.assert_equal(sparse_rng.bit_generator.state, dense_rng.bit_generator.state)
 
+    @pytest.mark.parametrize("source", ["fock-0", "fock-1", "poisson", "custom"])
+    @pytest.mark.parametrize("size", [1, _BLOCK, 2 * _BLOCK + 3])
+    def test_pair_sampling_matches_dense_sampling(self, source, size):
+        source = {
+            "fock-0": SourceModel.fock_pairs(0),
+            "fock-1": SourceModel.fock_pairs(1),
+            "poisson": SourceModel.poissonian_pairs(0.3),
+            "custom": _MOSTLY_DARK,
+        }[source]
+        cdf = _pair_cdf(source)
+        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
+        positions, pairs = _sample_pairs(sparse_rng, cdf, size)
+        dense = np.searchsorted(cdf, dense_rng.random(size), side="right")
+        assert positions.dtype == np.int32
+        np.testing.assert_array_equal(positions, np.flatnonzero(dense))
+        np.testing.assert_array_equal(pairs, dense[positions])
+        # the same draws were taken, so the later stages read the same stream
+        np.testing.assert_equal(sparse_rng.bit_generator.state, dense_rng.bit_generator.state)
+
 
 def _bright(shots, seed=2024):
     tmd = TMDConfig.uniform(32, efficiency=0.5)
@@ -355,8 +376,24 @@ def _bright(shots, seed=2024):
     )
 
 
+# stock layouts with a source at the dark-shot edges: no shot carries a pair,
+# every shot does, or almost none does
+_EDGE_SOURCES = {
+    "fock-0 D": ("D", SourceModel.fock_pairs(0)),
+    "fock-1 B": ("B", SourceModel.fock_pairs(1)),
+    "fock-1 D": ("D", SourceModel.fock_pairs(1)),
+    "custom C": ("C", _MOSTLY_DARK),
+}
+_LAYOUTS = ["A", "B", "C", "D", "bright", *_EDGE_SOURCES]
+
+
 def _layout(name, shots):
-    return _bright(shots) if name == "bright" else default_config(name, shots=shots, seed=2024)
+    if name == "bright":
+        return _bright(shots)
+    if name in _EDGE_SOURCES:
+        setup, source = _EDGE_SOURCES[name]
+        return replace(default_config(setup, shots=shots, seed=2024), source=source)
+    return default_config(name, shots=shots, seed=2024)
 
 
 def _run_arrays(config, keep_shots=True):
@@ -399,7 +436,7 @@ def _assert_same_run(run, expected):
 class TestWorkers:
     """Chunks split over threads and stages split into blocks leave every output as it was."""
 
-    @pytest.mark.parametrize("layout", ["A", "B", "C", "D", "bright"])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
     def test_outputs_do_not_depend_on_the_core_count(self, monkeypatch, layout):
         config = _layout(layout, shots=3 * CHUNK_SIZE + 321)
         runs = []
@@ -421,7 +458,7 @@ class TestWorkers:
         assert montecarlo._worker_count(10 * CHUNK_SIZE) == 4
 
     @pytest.mark.parametrize("shots", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
-    @pytest.mark.parametrize("layout", ["A", "B", "C", "D", "bright"])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
     def test_block_edges(self, layout, shots):
         config = _layout(layout, shots)
         _assert_same_run(_run_arrays(config), _serial_reference(config))
@@ -454,7 +491,7 @@ class TestWorkers:
             seed=8,
         )
         cdf = _pair_cdf(config.source)
-        assert _sample_pairs(np.random.default_rng(0), cdf, 10).dtype == np.uint16
+        assert _sample_pairs(np.random.default_rng(0), cdf, 10)[1].dtype == np.uint16
         _assert_same_run(_run_arrays(config), _serial_reference(config))
 
     def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):

@@ -17,6 +17,7 @@ from tmdkit import (
     thermal_dist,
     twin_beam_joint,
 )
+from tmdkit import sources
 from tmdkit.detector import MAX_PHOTONS
 from tmdkit.stats import thermal_probs
 
@@ -161,3 +162,23 @@ class TestSourceModel:
         ):
             with pytest.raises(DomainError, match="MAX_PHOTONS"):
                 build()
+
+    @pytest.mark.parametrize("mean, cutoff", [(1e6, 16_000_008), (1e12, 16_000_000_000_008)])
+    @pytest.mark.parametrize("build", [
+        SourceModel.single_mode_squeezer,
+        SourceModel.poissonian_pairs,
+        lambda mean: SourceModel.multimode_pdc(3, mean),
+    ], ids=["thermal", "poisson", "multimode"])
+    def test_implied_cutoff_is_checked_before_building(self, monkeypatch, build, mean, cutoff):
+        def refuse(*args):
+            raise AssertionError("built a pair distribution past MAX_PHOTONS")
+
+        for builder in ("thermal_probs", "poisson_probs", "negative_binomial_probs"):
+            monkeypatch.setattr(sources, builder, refuse)
+        with pytest.raises(DomainError, match=f"^pair cutoff {cutoff} exceeds MAX_PHOTONS=4096$"):
+            build(mean)
+
+    def test_mean_without_a_finite_cutoff(self):
+        # an overflowing cutoff is a domain error, not an OverflowError
+        with pytest.raises(DomainError, match="finite photon-number cutoff"):
+            SourceModel.single_mode_squeezer(1e300)

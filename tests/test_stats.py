@@ -162,6 +162,12 @@ class TestDefaultNMax:
         with pytest.raises(DomainError):
             default_n_max(-0.1)
 
+    @pytest.mark.parametrize("mean", [float("inf"), float("nan"), 1e300, 1e200])
+    def test_rejects_a_mean_without_a_finite_cutoff(self, mean):
+        # 1e200 * (1 + 1e200) overflows a float; the cutoff must not escape as OverflowError
+        with pytest.raises(DomainError, match="finite photon-number cutoff"):
+            default_n_max(mean)
+
 
 class TestMarginalsAndConditional:
     def test_marginals_sum_axes(self):
