@@ -141,15 +141,23 @@ def _pair_cdf(source: SourceModel) -> np.ndarray:
     return cdf
 
 
-def _sample_pairs(
-    rng: np.random.Generator, cdf: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk positions and pair numbers of the shots, among ``size``, that carry a pair."""
-    # a draw's index is at least 1 exactly when the draw is at least cdf[0];
-    # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size;
+def _pair_buffers(cdf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for the chunk positions and pair numbers of ``size`` shots."""
     # the pair dtype also holds the merged survivors of two arms
-    positions = np.empty(size, dtype=np.int32)
-    pairs = np.empty(size, dtype=np.min_scalar_type(2 * cdf.size))
+    return np.empty(size, dtype=np.int32), np.empty(size, dtype=np.min_scalar_type(2 * cdf.size))
+
+
+def _sample_pairs(
+    rng: np.random.Generator, cdf: np.ndarray, size: int, buffers: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk positions and pair numbers of the shots, among ``size``, that carry a pair.
+
+    Written from the start of ``buffers`` (from :func:`_pair_buffers`, at
+    least ``size`` long) and returned as views of them.
+    """
+    # a draw's index is at least 1 exactly when the draw is at least cdf[0];
+    # draws lie in [0, 1) and cdf[-1] is 1.0, so every index is below cdf.size
+    positions, pairs = buffers
     count = 0
     for block in _blocks(size):
         draws = rng.random(block.stop - block.start)
@@ -243,12 +251,14 @@ def _simulate(
     errors: list[BaseException] = []
 
     def work(worker: int) -> None:
-        # the masks of one chunk's pair-carrying shots; reused for the next chunk
+        # the positions, pair numbers and masks of one chunk's pair-carrying
+        # shots; reused for the next chunk
+        buffers = _pair_buffers(cdf, CHUNK_SIZE)
         stores = [np.empty(CHUNK_SIZE, dtype=np.uint32) for _ in tmds]
         histogram = histograms[worker]
         for chunk_index, size in chunks[worker::workers]:
             rng = _chunk_rng(config.seed, chunk_index)
-            positions, pairs = _sample_pairs(rng, cdf, size)
+            positions, pairs = _sample_pairs(rng, cdf, size, buffers)
             outs = [store[: pairs.size] for store in stores]
             readout(rng, pairs, config, outs)
             histogram += _click_histogram(tuple(outs), shape)

@@ -131,11 +131,15 @@ def _calibration_doc(config: ExperimentConfig, tables: dict[str, ClickStatistics
 
 
 def _result_doc(recon: ReconstructionResult) -> dict:
-    return {
+    doc = {
         "probabilities": recon.dist.probs,
         "is_physical": recon.dist.is_physical,
         "residual": recon.residual,
     }
+    if recon.newton_steps is not None:
+        # a constrained estimate carries its maximum-likelihood certificate
+        doc.update(duality_gap=recon.duality_gap, newton_steps=recon.newton_steps)
+    return doc
 
 
 def _detector(config: ExperimentConfig, arm: str) -> tuple[TMDConfig, float]:

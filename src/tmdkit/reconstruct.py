@@ -5,8 +5,9 @@ least-squares inversion of the composite response.  For the default
 square system (n_max equal to the bin count) the two stages are
 triangular and are solved by back-substitution, which stays accurate
 at low efficiency where an SVD pseudo-inverse of the composite
-collapses.  An optional non-negativity-constrained solver is available
-for users who prefer a physical estimate over an unbiased one.
+collapses.  For users who prefer a physical estimate over an unbiased
+one, the constrained estimate is the multinomial maximum-likelihood
+distribution, returned only with a duality-gap certificate.
 
 Error bars of the direct estimate need no second inversion: loss stages
 compose, L(a) L(b) = L(ab), so the estimate's sensitivity to the
@@ -30,6 +31,7 @@ from .errors import (
     ConditioningError,
     DegenerateConditionError,
     DomainError,
+    NumericalError,
     TruncationError,
 )
 from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
@@ -45,12 +47,30 @@ class CalibrationRecord:
     singles: float
 
 
+# The maximum-likelihood estimate is returned once its duality gap, a bound on
+# how far its log-likelihood per shot lies below the maximum, is at most
+# MLE_GAP; one that needs more than MLE_MAX_STEPS Newton steps raises.
+MLE_GAP = 1e-10
+MLE_MAX_STEPS = 100
+# interior-point centring after a step that was cut short and after a full
+# one, and the share of the way to the boundary a step may go
+_CENTRING = 0.1
+_CENTRING_AFTER_FULL_STEP = 0.01
+_TO_BOUNDARY = 0.99
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Reconstructed distribution and the norm of its click-space residual."""
+    """Reconstructed distribution and the norm of its click-space residual.
+
+    A constrained estimate also carries its duality gap and the Newton
+    steps it took (0 when the clipped direct inverse was certified).
+    """
 
     dist: PhotonDistribution | JointPhotonDistribution
     residual: float
+    duality_gap: float | None = None
+    newton_steps: int | None = None
 
 
 def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord:
@@ -115,15 +135,94 @@ def _direct(stages: list, rho: np.ndarray) -> tuple[np.ndarray, float]:
     return _renormalized(rho)
 
 
-def _constrained_solve(composite: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Non-negative least squares with a normalization row, renormalized."""
-    # imported here so that only the constrained path loads the optimizer
-    from scipy.optimize import nnls
+def _step_length(shrink: float) -> float:
+    """Longest step, at most 1, that keeps every entry positive with room to spare.
 
-    augmented = np.vstack([composite, np.ones((1, composite.shape[1]))])
-    solution, _ = nnls(augmented, np.append(rho, 1.0))
-    probs, _ = _renormalized(solution)
-    return probs
+    ``shrink`` is the smallest ratio of an entry's change to the entry.
+    """
+    return 1.0 if shrink >= -_TO_BOUNDARY else -_TO_BOUNDARY / float(shrink)
+
+
+def _mle(composite: np.ndarray, freq: np.ndarray, direct: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Maximum-likelihood law over the simplex, its duality gap and its Newton steps.
+
+    Maximizes l(p) = sum f log(A p) over p >= 0, sum p = 1.  l is concave
+    and p . g = 1 for g = A^T (f / A p), so l(p*) - l(p) <= max g - 1 at
+    any feasible p: the solver stops once that gap is at most MLE_GAP,
+    and raises rather than return an estimate it could not certify.
+    Cells without clicks drop out of l, and so do cells no photon number
+    up to the cutoff can produce (more clicks than photons), the rest
+    renormalized.  The clipped direct inverse is returned as it is when
+    it certifies, as it does on exact laws.  Otherwise it starts a
+    primal-dual interior-point method (duals z, multiplier lam of the
+    sum) on the bordered Newton system [H + Z/P, 1; 1^T, 0], with
+    H = A^T diag(f / q^2) A and q = A p.
+    """
+    keep = freq > 0.0
+    if composite.shape[0] > composite.shape[1]:
+        # a tall composite has rows past the cutoff, which are all zero
+        keep &= composite.any(axis=1)
+    composite, freq = composite[keep], freq[keep]
+    freq = freq / freq.sum()
+    probs = np.maximum(direct, 0.0)
+    total = float(probs.sum())
+    if math.isfinite(total):
+        probs /= total
+    else:
+        # a direct inverse that overflowed says nothing: start from the uniform law
+        probs = np.full(probs.size, 1.0 / probs.size)
+    if (composite @ probs).min() > 0.0:
+        gap = float(((freq / (composite @ probs)) @ composite).max()) - 1.0
+        if gap <= MLE_GAP:
+            return probs, gap, 0
+    # start strictly inside: 1 % of the uniform law mixed in, duals from the gradient
+    size = probs.size
+    probs = 0.99 * probs + 0.01 / size
+    dual = np.maximum(1.0 - (freq / (composite @ probs)) @ composite, 1e-3)
+    multiplier, centring = 1.0, _CENTRING
+    # the bordered system, its right-hand side and the weighted rows, built once
+    system = np.zeros((size + 1, size + 1))
+    system[size, :size] = system[:size, size] = 1.0
+    hessian, diagonal = system[:size, :size], system.reshape(-1)[: size * (size + 2) : size + 2]
+    rhs = np.zeros(size + 1)
+    top = rhs[:size]
+    transposed = composite.T.copy()
+    weighted = np.empty_like(transposed)
+    for steps in range(MLE_MAX_STEPS + 1):
+        # a step keeps the sum up to rounding; the certificate is for a law
+        probs /= probs.sum()
+        # .dot, not @: these small products are dominated by call overhead
+        clicks = composite.dot(probs)
+        ratio = freq / clicks
+        gradient = ratio.dot(composite)
+        gap = float(gradient.max()) - 1.0
+        if gap <= MLE_GAP:
+            return probs, gap, steps
+        if steps == MLE_MAX_STEPS:
+            break
+        ratio /= clicks
+        np.multiply(transposed, ratio, out=weighted)
+        np.matmul(weighted, composite, out=hessian)
+        inverse = 1.0 / probs
+        scaled = dual * inverse
+        diagonal += scaled
+        # perturbed complementarity: p z moves towards a share of its mean
+        centre = (centring * float(probs.dot(dual)) / size) * inverse
+        np.subtract(gradient, multiplier, out=top)
+        top += centre
+        step = np.linalg.solve(system, rhs)
+        dprobs = step[:size]
+        ddual = centre - dual - scaled * dprobs
+        primal = _step_length((dprobs * inverse).min())
+        dual_step = _step_length((ddual / dual).min())
+        centring = _CENTRING_AFTER_FULL_STEP if primal == dual_step == 1.0 else _CENTRING
+        probs += primal * dprobs
+        dual += dual_step * ddual
+        multiplier += dual_step * float(step[size])
+    raise NumericalError(
+        f"maximum-likelihood estimate not certified within {MLE_MAX_STEPS} Newton steps "
+        f"(duality gap {gap!r} above {MLE_GAP!r})"
+    )
 
 
 ClickInput = ClickStatistics | PhotonDistribution | np.ndarray
@@ -165,15 +264,15 @@ def _invert(tmds: tuple[TMDConfig, ...], clicks, constrained: bool) -> Reconstru
     stages = [_stages(tmd) for tmd in tmds]
     rho, _ = _click_frequencies(tmds, clicks)
     composites = [conv @ loss for conv, loss in stages]
+    probs, _ = _direct(stages, rho)
+    gap = steps = None
     if constrained:
         # the composite of independent axes is their Kronecker product
-        probs = _constrained_solve(functools.reduce(np.kron, composites), rho.ravel())
-        probs = probs.reshape(tuple(tmd.n_max + 1 for tmd in tmds))
-    else:
-        probs, _ = _direct(stages, rho)
+        flat, gap, steps = _mle(functools.reduce(np.kron, composites), rho.ravel(), probs.ravel())
+        probs = flat.reshape(probs.shape)
     residual = float(np.linalg.norm(_along_axes(composites, probs) - rho))
     dist_type = PhotonDistribution if probs.ndim == 1 else JointPhotonDistribution
-    return ReconstructionResult(dist_type(probs), residual)
+    return ReconstructionResult(dist_type(probs), residual, gap, steps)
 
 
 def invert_single(
@@ -182,10 +281,11 @@ def invert_single(
     """Reconstruct a photon-number distribution from one detector's clicks.
 
     The direct method is the unbiased least-squares inverse followed by
-    renormalization; ``constrained`` switches to an active-set solver
-    restricted to non-negative, normalized distributions.  Error bars of
-    the direct estimate, from counting noise and calibration uncertainty,
-    come from :func:`propagate_errors`.
+    renormalization; ``constrained`` switches to the maximum-likelihood
+    distribution, non-negative and normalized, certified to a duality gap
+    of ``MLE_GAP`` (see :class:`ReconstructionResult`).  Error bars of the
+    direct estimate, from counting noise and calibration uncertainty, come
+    from :func:`propagate_errors`.
     """
     return _invert((tmd,), clicks, constrained)
 

@@ -251,25 +251,70 @@ def number_squeezing_db(joint: JointPhotonDistribution) -> float:
     return 10.0 * math.log10(var_diff / (mean_n * mean_m))
 
 
+def _thermal_pmf(n_max: int):
+    """Truncated thermal law at any mean, written over one vector that each call returns.
+
+    The photon-number grids and the vector are built once, so a fit that
+    evaluates the law at many means allocates nothing per mean.
+    """
+    n = np.arange(n_max + 1, dtype=float)
+    shifted = n + 1.0
+    scratch, out = np.empty_like(n), np.empty_like(n)
+
+    def pmf(mean: float) -> np.ndarray:
+        if mean == 0.0:
+            out.fill(0.0)
+            out[0] = 1.0
+            return out
+        # exp form avoids overflow for large means:
+        # exp(n log(mean) - (n + 1) log1p(mean))
+        np.multiply(n, math.log(mean), out=out)
+        np.multiply(shifted, math.log1p(mean), out=scratch)
+        np.subtract(out, scratch, out=out)
+        np.exp(out, out=out)
+        return np.divide(out, np.add.reduce(out), out=out)
+
+    return pmf
+
+
+def _negative_binomial_pmf(n_max: int, modes: float = math.inf):
+    """Truncated negative binomial law at any mean, written over one vector that each call returns.
+
+    Built in log space from p(n)/p(n-1) = (n + modes - 1) / (modes + mean)
+    * mean / n; infinitely many modes give the Poissonian, mean / n.  The
+    grids and the vector are built once, as in :func:`_thermal_pmf`.
+    """
+    n = np.arange(1, n_max + 1, dtype=float)
+    growth = None if math.isinf(modes) else n + (modes - 1.0)
+    out = np.empty(n_max + 1)
+    ratio, tail = np.empty(n_max), out[1:]
+
+    def pmf(mean: float) -> np.ndarray:
+        if mean == 0.0:
+            out.fill(0.0)
+            out[0] = 1.0
+            return out
+        np.divide(mean, n, out=ratio)
+        if growth is not None:
+            np.multiply(ratio, growth / (modes + mean), out=ratio)
+        out[0] = 0.0
+        np.log(ratio, out=tail)
+        np.add.accumulate(tail, out=tail)
+        # shift by the largest term so large means do not overflow
+        np.subtract(out, np.maximum.reduce(out), out=out)
+        np.exp(out, out=out)
+        return np.divide(out, np.add.reduce(out), out=out)
+
+    return pmf
+
+
 def thermal_probs(mean: float, n_max: int) -> np.ndarray:
     """Truncated, renormalized thermal (geometric) probability vector."""
     if mean < 0:
         raise DomainError("thermal mean must be non-negative")
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    n = np.arange(n_max + 1, dtype=float)
-    if mean == 0.0:
-        p = (n == 0).astype(float)
-    else:
-        # exp form avoids overflow for large means:
-        # exp(n log(mean) - (n + 1) log1p(mean)), built in place
-        p = n * math.log(mean)
-        n += 1.0
-        n *= math.log1p(mean)
-        p -= n
-        np.exp(p, out=p)
-    p /= np.add.reduce(p)
-    return p
+    return _thermal_pmf(n_max)(mean)
 
 
 def poisson_probs(mean: float, n_max: int) -> np.ndarray:
@@ -278,29 +323,12 @@ def poisson_probs(mean: float, n_max: int) -> np.ndarray:
 
 
 def negative_binomial_probs(mean: float, n_max: int, modes: float = math.inf) -> np.ndarray:
-    """Negative binomial: photon number of ``modes`` identical thermal modes, renormalized.
-
-    Built in log space from p(n)/p(n-1) = (n + modes - 1) / (modes + mean)
-    * mean / n; infinitely many modes give the Poissonian, mean / n.
-    """
+    """Negative binomial: photon number of ``modes`` identical thermal modes, renormalized."""
     if mean < 0:
         raise DomainError("mean must be non-negative")
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    if mean == 0.0:
-        return (np.arange(n_max + 1) == 0).astype(float)
-    n = np.arange(1, n_max + 1, dtype=float)
-    ratio = mean / n
-    if not math.isinf(modes):
-        ratio *= (n + (modes - 1.0)) / (modes + mean)
-    p = np.zeros(n_max + 1)
-    np.log(ratio, out=p[1:])
-    np.add.accumulate(p[1:], out=p[1:])
-    # shift by the largest term so large means do not overflow
-    p -= np.maximum.reduce(p)
-    np.exp(p, out=p)
-    p /= np.add.reduce(p)
-    return p
+    return _negative_binomial_pmf(n_max, modes)(mean)
 
 
 def _golden_minimize(objective, lo: float, hi: float) -> float:
@@ -333,12 +361,14 @@ def _golden_minimize(objective, lo: float, hi: float) -> float:
 
 def _fit_family(dist: PhotonDistribution, family, name: str) -> FitResult:
     target = dist.probs
-    n_max = dist.n_max
+    # the family's law and the residual are written over the same two vectors at every mean
+    pmf = family(dist.n_max)
+    residual = np.empty_like(target)
 
     def objective(mu: float) -> float:
         # what np.linalg.norm computes for a float vector, without its overhead
-        r = target - family(mu, n_max)
-        return math.sqrt(r.dot(r))
+        np.subtract(target, pmf(mu), out=residual)
+        return math.sqrt(residual.dot(residual))
 
     hi = max(1.0, 3.0 * max(moment(dist, 1), 0.0) + 1.0)
     for _ in range(8):
@@ -348,20 +378,14 @@ def _fit_family(dist: PhotonDistribution, family, name: str) -> FitResult:
         hi *= 4.0  # minimizer pinned at the bracket edge, widen and retry
     else:
         raise NumericalError(f"{name} fit mean kept escaping the search bracket (hi={hi!r})")
-    model = family(best, n_max)
-    return FitResult(
-        family=name,
-        mean=best,
-        residual_l2=objective(best),
-        per_bin_deviation=target - model,
-    )
+    return FitResult(family=name, mean=best, residual_l2=objective(best), per_bin_deviation=residual)
 
 
 def fit_poisson(dist: PhotonDistribution) -> FitResult:
     """Least-squares fit of a truncated Poissonian, searching over its mean."""
-    return _fit_family(dist, poisson_probs, "poisson")
+    return _fit_family(dist, _negative_binomial_pmf, "poisson")
 
 
 def fit_thermal(dist: PhotonDistribution) -> FitResult:
     """Least-squares fit of a truncated thermal distribution, searching over its mean."""
-    return _fit_family(dist, thermal_probs, "thermal")
+    return _fit_family(dist, _thermal_pmf, "thermal")

@@ -14,6 +14,7 @@ from tmdkit import (
     write_json_doc,
 )
 from tmdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from tmdkit.reconstruct import MLE_GAP
 
 
 def run_cli(*argv):
@@ -126,9 +127,10 @@ class TestReconstruct:
         probs = np.asarray(doc["signal"]["probabilities"], dtype=float)
         assert probs.sum() == pytest.approx(1.0)
         assert len(doc["signal"]["sigma"]) == len(probs)
-        # the method is named once, at the top; no arm carries a condition number
+        # the method is named once, at the top; no arm carries a condition number,
+        # and a direct estimate has no maximum-likelihood certificate
         for arm in ("joint", "signal", "idler"):
-            assert not {"method", "condition_number"} & set(doc[arm])
+            assert not {"method", "condition_number", "duality_gap", "newton_steps"} & set(doc[arm])
 
     def test_constrained_flag(self, tmp_path):
         out = tmp_path / "out"
@@ -139,6 +141,12 @@ class TestReconstruct:
         assert doc["method"] == "constrained"
         assert np.asarray(doc["signal"]["probabilities"]).min() >= 0.0
         assert "sigma" not in doc["signal"]
+        # every estimate is the certified maximum-likelihood law
+        for arm in ("joint", "signal", "idler"):
+            assert doc[arm]["duality_gap"] <= MLE_GAP
+            assert isinstance(doc[arm]["newton_steps"], int) and doc[arm]["newton_steps"] >= 0
+        metrics = read_json_doc(out / "metrics.json")
+        assert -1.0 <= metrics["joint"]["correlation"] <= 1.0
 
     def test_shared_layout_averages_efficiencies(self, tmp_path):
         out = tmp_path / "out"

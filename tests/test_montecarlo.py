@@ -26,7 +26,15 @@ from tmdkit import (
     run_experiment,
 )
 from tmdkit import montecarlo
-from tmdkit.montecarlo import _BLOCK, _chunk_rng, _click_histogram, _pair_cdf, _readout, _sample_pairs
+from tmdkit.montecarlo import (
+    _BLOCK,
+    _chunk_rng,
+    _click_histogram,
+    _pair_buffers,
+    _pair_cdf,
+    _readout,
+    _sample_pairs,
+)
 from tmdkit.pipelines import _arms, _klyshko, run_replicate
 
 # JSON documents of a calibrated run, in writing order, with the stage its inverted arms call for
@@ -355,7 +363,7 @@ class TestStreamGuard:
         }[source]
         cdf = _pair_cdf(source)
         sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
-        positions, pairs = _sample_pairs(sparse_rng, cdf, size)
+        positions, pairs = _sample_pairs(sparse_rng, cdf, size, _pair_buffers(cdf, size))
         dense = np.searchsorted(cdf, dense_rng.random(size), side="right")
         assert positions.dtype == np.int32
         np.testing.assert_array_equal(positions, np.flatnonzero(dense))
@@ -491,7 +499,7 @@ class TestWorkers:
             seed=8,
         )
         cdf = _pair_cdf(config.source)
-        assert _sample_pairs(np.random.default_rng(0), cdf, 10)[1].dtype == np.uint16
+        assert _pair_buffers(cdf, 10)[1].dtype == np.uint16
         _assert_same_run(_run_arrays(config), _serial_reference(config))
 
     def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):

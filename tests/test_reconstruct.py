@@ -1,9 +1,17 @@
 """Inversion of the click model and its error analysis."""
 
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdkit import (
     ClickStatistics,
@@ -11,9 +19,12 @@ from tmdkit import (
     DegenerateConditionError,
     DomainError,
     JointPhotonDistribution,
+    NumericalError,
     PhotonDistribution,
     TMDConfig,
     TruncationError,
+    collective_forward,
+    detector_response,
     forward,
     invert_joint,
     invert_single,
@@ -24,6 +35,9 @@ from tmdkit import (
     thermal_dist,
     twin_beam_joint,
 )
+from tmdkit import reconstruct
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestKlyshkoEfficiency:
@@ -326,3 +340,146 @@ class TestModelMemo:
                 propagate_errors(tmd, rho, sigma_eta=0.009)
             with pytest.raises(error):
                 invert_joint(tmd, tmd, np.ones((5, 5)) / 25.0)
+
+
+def _counted(law: np.ndarray, shots: int = 100_000, seed: int = 11) -> ClickStatistics:
+    counts = np.random.default_rng(seed).multinomial(shots, law.ravel() / law.sum())
+    return ClickStatistics(counts.reshape(law.shape), shots)
+
+
+def _log_likelihood(composite: np.ndarray, freq: np.ndarray, probs: np.ndarray) -> float:
+    """sum f log(A p) over the cells with clicks; -inf when such a cell gets no probability."""
+    seen = freq > 0.0
+    clicks = composite[seen] @ probs
+    return float(freq[seen] @ np.log(clicks)) if clicks.min() > 0.0 else -math.inf
+
+
+def _certificate(composite: np.ndarray, freq: np.ndarray, probs: np.ndarray) -> float:
+    """max_j (A^T (f / A p))_j - 1 over the cells with clicks, computed here from scratch."""
+    seen = freq > 0.0
+    return float(((freq[seen] / (composite[seen] @ probs)) @ composite[seen]).max()) - 1.0
+
+
+def _case(kind: str, counted: bool):
+    """Detectors, clicks and the composite response of one inversion the MLE must certify."""
+    deep = 16 if counted else None
+    if kind in ("square", "rectangular"):
+        tmd = TMDConfig(np.full(8, 0.125), 0.2 if kind == "square" else 0.4, 8 if kind == "square" else 4)
+        source = TMDConfig(tmd.bin_probs, tmd.efficiency, deep or tmd.n_max)
+        law = forward(source, thermal_dist(0.8 if counted else 0.3, source.n_max)).probs
+        tmds = (tmd,)
+    elif kind == "joint":
+        tmds = (TMDConfig.uniform(4, efficiency=0.3), TMDConfig.uniform(4, efficiency=0.5))
+        sources = [TMDConfig(tmd.bin_probs, tmd.efficiency, deep or tmd.n_max) for tmd in tmds]
+        law = joint_forward(*sources, twin_beam_joint(thermal_dist(0.8 if counted else 0.5, sources[0].n_max))).probs
+    else:
+        # both arms of a twin beam into one detector, at equal efficiency so the model is exact
+        tmd = TMDConfig.uniform(8, efficiency=0.3)
+        source = TMDConfig(tmd.bin_probs, tmd.efficiency, deep or tmd.n_max)
+        law = collective_forward(source, twin_beam_joint(poisson_dist(0.6, 8 if counted else 4)), 0.3, 0.3).probs
+        tmds = (tmd,)
+    clicks = _counted(law) if counted else (JointPhotonDistribution(law) if law.ndim == 2 else PhotonDistribution(law))
+    composite = functools.reduce(np.kron, [detector_response(tmd) for tmd in tmds])
+    freq = (clicks.frequencies if counted else clicks.probs).ravel()
+    return tmds, clicks, composite, freq
+
+
+def _invert_case(tmds, clicks, constrained: bool = True):
+    if len(tmds) == 2:
+        return invert_joint(*tmds, clicks, constrained=constrained)
+    return invert_single(tmds[0], clicks, constrained=constrained)
+
+
+class TestMaximumLikelihood:
+    """The constrained estimate is the multinomial MLE, returned only with its certificate."""
+
+    @pytest.mark.parametrize("counted", [False, True], ids=["exact", "counted"])
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "joint", "merged"])
+    def test_gap_is_certified(self, kind, counted):
+        tmds, clicks, composite, freq = _case(kind, counted)
+        result = _invert_case(tmds, clicks)
+        probs = result.dist.probs.ravel()
+        assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert result.duality_gap <= reconstruct.MLE_GAP
+        if counted:
+            # counting noise pushes the direct inverse negative, so the solver iterates
+            assert result.newton_steps > 0
+            if kind == "rectangular":
+                # clicks past the 4-photon cutoff, which the model cannot produce, are left out
+                assert clicks.counts[5:].sum() > 0
+                freq = np.where(np.arange(freq.size) <= 4, freq, 0.0)
+                freq /= freq.sum()
+        # the certificate holds when recomputed from the detector model alone
+        assert _certificate(composite, freq, probs) <= reconstruct.MLE_GAP + 1e-14
+
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "joint", "merged"])
+    def test_exact_law_takes_the_clipped_direct_inverse(self, kind):
+        tmds, clicks, _, _ = _case(kind, counted=False)
+        direct = _invert_case(tmds, clicks, constrained=False)
+        result = _invert_case(tmds, clicks)
+        assert result.newton_steps == 0
+        clipped = np.maximum(direct.dist.probs.ravel(), 0.0)
+        np.testing.assert_array_equal(result.dist.probs.ravel(), clipped / clipped.sum())
+
+    def test_direct_results_carry_no_certificate(self):
+        tmds, clicks, _, _ = _case("square", counted=True)
+        direct = _invert_case(tmds, clicks, constrained=False)
+        assert direct.duality_gap is None and direct.newton_steps is None
+
+    @given(
+        bins=st.integers(2, 8),
+        cut=st.integers(0, 2),
+        eta=st.floats(0.05, 0.95),
+        mean=st.floats(0.1, 2.0),
+        shots=st.sampled_from([200, 10_000, 1_000_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_no_estimate_is_more_likely(self, bins, cut, eta, mean, shots, seed):
+        # scipy is the reference here only: its non-negative least squares, the
+        # estimate this solver replaced, and the clipped direct inverse
+        from scipy.optimize import nnls
+
+        tmd = TMDConfig(np.full(bins, 1.0 / bins), eta, max(1, bins - cut))
+        source = TMDConfig(tmd.bin_probs, eta, 12)
+        clicks = _counted(forward(source, thermal_dist(mean, 12)).probs, shots, seed)
+        composite = detector_response(tmd)
+        freq = clicks.frequencies
+        # the likelihood of the cells the model can produce, which the MLE maximizes
+        freq = np.where(composite.any(axis=1), freq, 0.0)
+        if not freq.any():
+            return
+        freq /= freq.sum()
+        mle = invert_single(tmd, clicks, constrained=True).dist.probs
+        direct = np.maximum(invert_single(tmd, clicks).dist.probs, 0.0)
+        reference, _ = nnls(np.vstack([composite, np.ones(composite.shape[1])]), np.append(clicks.frequencies, 1.0))
+        best = _log_likelihood(composite, freq, mle)
+        for other in (direct / direct.sum(), reference / reference.sum()):
+            assert best >= _log_likelihood(composite, freq, other) - 1e-10
+
+    def test_step_cap_raises(self, monkeypatch):
+        tmds, clicks, _, _ = _case("square", counted=True)
+        steps = _invert_case(tmds, clicks).newton_steps
+        monkeypatch.setattr(reconstruct, "MLE_MAX_STEPS", steps - 1)
+        with pytest.raises(NumericalError, match="not certified"):
+            _invert_case(tmds, clicks)
+        monkeypatch.setattr(reconstruct, "MLE_MAX_STEPS", steps)
+        assert _invert_case(tmds, clicks).newton_steps == steps
+
+    def test_constrained_joint_loads_no_scipy(self):
+        # a fresh interpreter, so modules the test session already holds do not count
+        probe = (
+            "import json, sys, numpy as np, tmdkit as tk\n"
+            "tmd = tk.TMDConfig.uniform(4, efficiency=0.4)\n"
+            "counts = np.array([[60, 9, 3, 1, 0], [8, 7, 2, 0, 0], [3, 2, 1, 1, 0],"
+            " [1, 0, 1, 0, 0], [0, 0, 0, 0, 1]])\n"
+            "result = tk.invert_joint(tmd, tmd, tk.ClickStatistics(counts, 100), constrained=True)\n"
+            "assert result.newton_steps > 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        scipy = [m for m in json.loads(done.stdout) if m == "scipy" or m.startswith("scipy.")]
+        assert scipy == [], f"a constrained inversion loaded {len(scipy)} scipy modules, e.g. {scipy[:5]}"

@@ -163,6 +163,23 @@ class TestSourceModel:
             with pytest.raises(DomainError, match="MAX_PHOTONS"):
                 build()
 
+    @pytest.mark.parametrize("n_max", [2.7, 3.0, True, "3"])
+    @pytest.mark.parametrize("build", [
+        lambda n_max: SourceModel.single_mode_squeezer(0.2, n_max=n_max),
+        lambda n_max: SourceModel.poissonian_pairs(0.2, n_max=n_max),
+        lambda n_max: SourceModel.multimode_pdc(2, 0.2, n_max=n_max),
+        lambda n_max: SourceModel.fock_pairs(1, n_max=n_max),
+    ], ids=["thermal", "poisson", "multimode", "fock"])
+    def test_cutoff_must_be_an_integer(self, build, n_max):
+        # a float cutoff is neither rounded nor passed on to numpy
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            build(n_max)
+
+    def test_fock_photon_number_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="photons must be an integer"):
+            SourceModel.fock_pairs(1.0)
+        assert SourceModel.fock_pairs(np.int64(2), n_max=np.int32(3)).pair_dist.n_max == 3
+
     @pytest.mark.parametrize("mean, cutoff", [(1e6, 16_000_008), (1e12, 16_000_000_000_008)])
     @pytest.mark.parametrize("build", [
         SourceModel.single_mode_squeezer,

@@ -27,6 +27,8 @@ from tmdkit import (
 )
 from tmdkit.stats import (
     _golden_minimize,
+    _negative_binomial_pmf,
+    _thermal_pmf,
     negative_binomial_probs,
     poisson_probs,
     thermal_probs,
@@ -349,6 +351,16 @@ class TestSameBits:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_thermal_probs(self, mean, n_max):
         assert np.array_equal(thermal_probs(mean, n_max), reference_thermal_probs(mean, n_max))
+
+    @given(means=st.lists(MEANS, min_size=2, max_size=6), n_max=st.integers(0, 40), modes=MODES)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_reused_vectors_keep_no_state(self, means, n_max, modes):
+        # a fit evaluates one family at many means over the same vectors
+        laws = [(_negative_binomial_pmf(n_max, modes), lambda m: negative_binomial_probs(m, n_max, modes)),
+                (_thermal_pmf(n_max), lambda m: thermal_probs(m, n_max))]
+        for pmf, fresh in laws:
+            for mean in means:
+                assert np.array_equal(pmf(mean), fresh(mean))
 
     @given(r=st.lists(st.floats(-1e3, 1e3), max_size=41))
     @settings(max_examples=200, derandomize=True, deadline=None)
