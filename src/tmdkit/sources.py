@@ -75,14 +75,14 @@ def twin_beam_joint(pair_dist: PhotonDistribution) -> JointPhotonDistribution:
 
 
 def _checked_int(name: str, value: object) -> None:
-    if not _is_int(value):
+    """Reject a given ``value`` that is not an integer; None means not given."""
+    if value is not None and not _is_int(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _bounded_cutoff(mean: float, n_max: int | None) -> int:
     """The pair cutoff a named source builds, checked before anything is built."""
-    if n_max is not None:
-        _checked_int("n_max", n_max)
+    _checked_int("n_max", n_max)
     cutoff = default_n_max(mean) if n_max is None else n_max
     if cutoff > MAX_PHOTONS:
         raise DomainError(f"pair cutoff {cutoff} exceeds MAX_PHOTONS={MAX_PHOTONS}")
@@ -141,6 +141,5 @@ class SourceModel:
     def fock_pairs(cls, n: int, n_max: int | None = None) -> "SourceModel":
         """Exactly n pairs per shot."""
         _checked_int("photons", n)
-        if n_max is not None:
-            _checked_int("n_max", n_max)
+        _checked_int("n_max", n_max)
         return cls(fock_dist(n, n_max), "fock", photons=int(n))
