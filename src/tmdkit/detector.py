@@ -15,14 +15,18 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .stats import JointPhotonDistribution, PhotonDistribution, combine_collective
+from .stats import (
+    JointPhotonDistribution,
+    PhotonDistribution,
+    _count,
+    _is_real,
+    combine_collective,
+)
 
 # The simulator packs one bin per bit of a uint32 click mask.
 MAX_BINS = 32
-# Config integers become numpy sizes and indices: a photon number or
-# cutoff (n_max) is at most MAX_PHOTONS, and any other count at most _INT64_MAX.
+# A photon number or cutoff (n_max) a config can write back is at most MAX_PHOTONS.
 MAX_PHOTONS = 4096
-_INT64_MAX = int(np.iinfo(np.int64).max)
 BIN_PROB_ATOL = 1e-12
 STOCHASTIC_ATOL = 1e-12
 
@@ -33,16 +37,12 @@ def _checked_bin_probs(bin_probs: np.ndarray) -> np.ndarray:
     if probs.ndim != 1 or probs.size < 1:
         raise DomainError("bin_probs must be a non-empty 1-d vector")
     if probs.size > MAX_BINS:
-        raise DomainError(f"{probs.size} bins exceed MAX_BINS={MAX_BINS}")
+        raise DomainError(f"bin_probs has {probs.size} entries, more than MAX_BINS={MAX_BINS}")
     if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
-        raise DomainError("bin probabilities must be finite and non-negative")
+        raise DomainError("bin_probs must be finite and non-negative")
     if abs(probs.sum() - 1.0) > BIN_PROB_ATOL:
-        raise DomainError(f"bin probabilities sum to {float(probs.sum())!r}, expected 1")
+        raise DomainError(f"bin_probs sum to {float(probs.sum())!r}, expected 1")
     return probs
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,9 @@ class TMDConfig:
     ``bin_probs`` holds the probability for a photon to land in each
     bin, ``efficiency`` the survival probability applied upstream of the
     bins, and ``n_max`` (at most ``MAX_PHOTONS``) the photon-number
-    cutoff the detector model is built for.  The detector model is built
-    on first use and kept, so one object checks its stages once however
+    cutoff the detector model is built for.  Each field follows the
+    config-file rules, in its wording.  The detector model is built on
+    first use and kept, so one object checks its stages once however
     often it is used.
     """
 
@@ -63,14 +64,12 @@ class TMDConfig:
 
     def __post_init__(self) -> None:
         probs = _checked_bin_probs(self.bin_probs)
+        if not _is_real(self.efficiency):
+            raise DomainError("efficiency must be a number")
         eff = float(self.efficiency)
         if not 0.0 <= eff <= 1.0:
             raise DomainError(f"efficiency {eff!r} outside [0, 1]")
-        if not _is_int(self.n_max):
-            raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
-        n_max = int(self.n_max)
-        if not 0 <= n_max <= MAX_PHOTONS:
-            raise DomainError(f"n_max {n_max} outside [0, MAX_PHOTONS={MAX_PHOTONS}]")
+        n_max = _count(self.n_max, "n_max", 0, MAX_PHOTONS)
         probs = np.array(probs, copy=True)
         probs.flags.writeable = False
         object.__setattr__(self, "bin_probs", probs)
@@ -93,8 +92,7 @@ class TMDConfig:
     @classmethod
     def uniform(cls, bins: int = 8, efficiency: float = 1.0, n_max: int | None = None) -> "TMDConfig":
         """Detector with equally likely bins; n_max defaults to the bin count."""
-        if not 1 <= bins <= MAX_BINS:
-            raise DomainError(f"bins {bins} outside [1, MAX_BINS={MAX_BINS}]")
+        bins = _count(bins, "bins", 1, MAX_BINS)
         if n_max is None:
             n_max = bins
         return cls(np.full(bins, 1.0 / bins), efficiency, n_max)
@@ -142,9 +140,7 @@ def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     """Binomial loss stage: entry (n, m) is P(n of m photons survive)."""
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    return _column_stochastic(_binomial_stage(efficiency, n_max))
+    return _column_stochastic(_binomial_stage(efficiency, _count(n_max, "n_max", 0)))
 
 
 @lru_cache(maxsize=128)
@@ -179,9 +175,7 @@ def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
     bin count is capped at MAX_BINS like every detector's.
     """
     probs = _checked_bin_probs(bin_probs)
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    entries = _convolution_entries(tuple(probs.tolist()), int(n_max))
+    entries = _convolution_entries(tuple(probs.tolist()), _count(n_max, "n_max", 0))
     return _column_stochastic(entries)
 
 

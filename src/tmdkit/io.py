@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,19 +20,26 @@ from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .detector import _INT64_MAX, MAX_BINS, MAX_PHOTONS, TMDConfig, _is_int
+from .detector import MAX_BINS, TMDConfig
 from .errors import ConfigError, DataFormatError, DomainError, TmdkitError
 from .montecarlo import SETUPS, ExperimentConfig, _click_histogram
 from .sources import SourceModel
-from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution, default_n_max
+from .stats import (
+    ClickStatistics,
+    JointPhotonDistribution,
+    PhotonDistribution,
+    _count,
+    _is_int,
+    _is_real,
+)
 
 FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "setup", "source", "shots", "seed", "signal", "idler"}
 _DETECTOR_KEYS = {"bins", "bin_probs", "efficiency", "n_max", "efficiency_uncertainty"}
 
-# Parametric source kinds: the constructor and its parameters, in the
-# order they are checked and passed.  "custom" gives the pair
+# Parametric source kinds: the constructor, which checks every number,
+# and its parameters in the order it takes them.  "custom" gives the pair
 # distribution itself and has no row.
 _SOURCE_KINDS = {
     "thermal": (SourceModel.single_mode_squeezer, ("mean",)),
@@ -41,8 +47,6 @@ _SOURCE_KINDS = {
     "poisson": (SourceModel.poissonian_pairs, ("mean",)),
     "fock": (SourceModel.fock_pairs, ("photons",)),
 }
-# Least and greatest value of each integer source parameter; every other parameter is a mean.
-_SOURCE_COUNTS = {"modes": (1, _INT64_MAX), "photons": (0, MAX_PHOTONS)}
 
 # Stock layouts: the source, then (bins, efficiency) of the signal and
 # idler detectors.  Sources and efficiencies follow the reference
@@ -62,13 +66,6 @@ def _supported_version(doc: dict) -> bool:
     """True unless ``doc`` names another format version; ``true`` and ``1.0`` are not 1."""
     version = doc.get("format_version", FORMAT_VERSION)
     return _is_int(version) and version == FORMAT_VERSION
-
-
-def _is_real(value: Any) -> bool:
-    """True for a number a float holds; an integer too large for one is not."""
-    if _is_int(value):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, (float, np.floating))
 
 
 def jsonable(value: Any) -> Any:
@@ -185,30 +182,11 @@ def _require(doc: dict, field: str, where: str) -> Any:
     return doc[field]
 
 
-def _count(value: Any, name: str, least: int, most: int = _INT64_MAX) -> int:
-    """``value`` as an integer in [least, most], else ConfigError naming ``name``; least is 0 or 1."""
-    if not _is_int(value) or value < least:
-        rule = "a positive" if least else "a non-negative"
-        raise ConfigError(f"{name} must be {rule} integer")
-    if value > most:
-        raise ConfigError(f"{name} must be at most {most}")
-    return int(value)
-
-
 def _numbers(value: Any, name: str) -> np.ndarray:
     """``value`` as a float array if it is a list of numbers, else a ConfigError naming ``name``."""
     if not isinstance(value, list) or not all(_is_real(x) for x in value):
         raise ConfigError(f"{name} must be a list of numbers")
     return np.asarray(value, dtype=float)
-
-
-def _source_parameter(doc: dict, name: str) -> int | float:
-    value = _require(doc, name, "source")
-    if name in _SOURCE_COUNTS:
-        return _count(value, f"source.{name}", *_SOURCE_COUNTS[name])
-    if not _is_real(value) or not math.isfinite(value) or value < 0:
-        raise ConfigError(f"source.{name} must be a finite non-negative number")
-    return float(value)
 
 
 def _parse_source(doc: Any) -> SourceModel:
@@ -224,24 +202,20 @@ def _parse_source(doc: Any) -> SourceModel:
         )
     constructor, params = _SOURCE_KINDS.get(kind, (None, ("pair_dist",)))
     _reject_unknown(doc, {"kind", "n_max", *params}, "source")
-    try:
-        if kind == "custom":
-            pair_dist = _numbers(_require(doc, "pair_dist", "source"), "source.pair_dist")
+    args = [_require(doc, name, "source") for name in params]
+    if kind == "custom":
+        pair_dist = _numbers(args[0], "source.pair_dist")
+        try:
             return SourceModel(PhotonDistribution(pair_dist), "custom")
-        n_max = doc.get("n_max")
-        if n_max is not None:
-            n_max = _count(n_max, "source.n_max", 0, MAX_PHOTONS)
-        args = [_source_parameter(doc, name) for name in params]
-        # the cutoff a mean implies is bounded like a given one
-        if n_max is None and "mean" in params:
-            if args[-1] > MAX_PHOTONS or default_n_max(args[-1]) > MAX_PHOTONS:
-                raise ConfigError(f"source.mean {args[-1]!r} implies an n_max above {MAX_PHOTONS}")
-        return constructor(*args, n_max)
+        except DomainError as exc:
+            raise ConfigError(f"source.pair_dist: {exc}") from exc
+    try:
+        return constructor(*args, doc.get("n_max"))
     except DomainError as exc:
-        raise ConfigError(f"source: {exc}") from exc
+        raise ConfigError(f"source.{exc}") from exc
 
 
-def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, float]:
+def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, Any]:
     """Detector and efficiency uncertainty of one arm; no block means ``stock_bins`` ideal bins."""
     if doc is None:
         doc = {}
@@ -250,25 +224,16 @@ def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, flo
     _reject_unknown(doc, _DETECTOR_KEYS, arm)
     if "bins" in doc and "bin_probs" in doc:
         raise ConfigError(f"{arm}: give either bins or bin_probs, not both")
-    efficiency = doc.get("efficiency", 1.0)
-    if not _is_real(efficiency):
-        raise ConfigError(f"{arm}.efficiency must be a number")
-    sigma = doc.get("efficiency_uncertainty", 0.0)
-    if not _is_real(sigma) or not 0.0 <= float(sigma) < 1.0:
-        raise ConfigError(f"{arm}.efficiency_uncertainty must lie in [0, 1)")
-    n_max = doc.get("n_max")
-    if n_max is not None:
-        n_max = _count(n_max, f"{arm}.n_max", 0, MAX_PHOTONS)
+    efficiency, n_max = doc.get("efficiency", 1.0), doc.get("n_max")
     try:
         if "bin_probs" in doc:
             probs = _numbers(doc["bin_probs"], f"{arm}.bin_probs")
-            tmd = TMDConfig(probs, float(efficiency), probs.size if n_max is None else n_max)
+            tmd = TMDConfig(probs, efficiency, probs.size if n_max is None else n_max)
         else:
-            bins = _count(doc.get("bins", stock_bins), f"{arm}.bins", 1)
-            tmd = TMDConfig.uniform(bins, float(efficiency), n_max)
+            tmd = TMDConfig.uniform(doc.get("bins", stock_bins), efficiency, n_max)
     except DomainError as exc:
-        raise ConfigError(f"{arm}: {exc}") from exc
-    return tmd, float(sigma)
+        raise ConfigError(f"{arm}.{exc}") from exc
+    return tmd, doc.get("efficiency_uncertainty", 0.0)
 
 
 def config_from_doc(doc: dict) -> ExperimentConfig:
@@ -438,10 +403,8 @@ def ingest_shots(
     joint click histogram; with one arm it is that arm's histogram.
     """
     for arm, bins in (("signal", signal_bins), ("idler", idler_bins)):
-        if bins is not None and not (_is_int(bins) and 1 <= bins <= MAX_BINS):
-            raise DomainError(
-                f"{arm}_bins must be an integer in [1, MAX_BINS={MAX_BINS}], got {bins!r}"
-            )
+        if bins is not None:
+            _count(bins, f"{arm}_bins", 1, MAX_BINS)
     path = Path(path)
     declared = {"signal_mask": signal_bins, "idler_mask": idler_bins}
     # a misfit is reported only once the whole file has parsed, the signal

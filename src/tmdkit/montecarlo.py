@@ -23,10 +23,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .detector import _INT64_MAX, TMDConfig, _is_int
+from .detector import TMDConfig
 from .errors import DomainError
 from .sources import SourceModel
-from .stats import ClickStatistics
+from .stats import ClickStatistics, _count, _is_int, _is_real
 
 CHUNK_SIZE = 1 << 16
 # shots per stage call within a chunk; splitting a draw into consecutive
@@ -43,8 +43,10 @@ SETUPS = ("A", "B", "C", "D")
 class ExperimentConfig:
     """Source, measurement layout, detectors, and run length.
 
-    ``shots`` and ``seed`` follow the config-file rules, in its wording, and
-    are stored as ``int``.  For the shared-detector layout ("C") both arms
+    ``shots``, ``seed`` and the ``sigma_eta_*`` fields follow the
+    config-file rules, in its wording (``signal.efficiency_uncertainty``
+    for ``sigma_eta_signal``); the first two are stored as ``int``, the
+    others as ``float``.  For the shared-detector layout ("C") both arms
     must have the same bins and ``n_max``; only their efficiencies may
     differ.  The ``sigma_eta_*`` fields carry calibration uncertainties
     through to error propagation and do not affect the simulation.
@@ -62,20 +64,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.setup not in SETUPS:
             raise DomainError(f"setup must be one of {SETUPS}, got {self.setup!r}")
-        if not _is_int(self.shots) or self.shots < 1:
-            raise DomainError("shots must be a positive integer")
-        if self.shots > _INT64_MAX:
-            raise DomainError(f"shots must be at most {_INT64_MAX}")
+        for arm in ("signal", "idler"):
+            sigma = getattr(self, f"sigma_eta_{arm}")
+            if not _is_real(sigma) or not 0.0 <= sigma < 1.0:
+                raise DomainError(f"{arm}.efficiency_uncertainty must lie in [0, 1)")
+            object.__setattr__(self, f"sigma_eta_{arm}", float(sigma))
+        object.__setattr__(self, "shots", _count(self.shots, "shots", 1))
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
         same_bins = np.array_equal(self.tmd_signal.bin_probs, self.tmd_idler.bin_probs)
         if self.setup == "C" and not (same_bins and self.tmd_signal.n_max == self.tmd_idler.n_max):
             raise DomainError("setup C feeds both arms into one TMD; bins and n_max must match")
-        for sigma in (self.sigma_eta_signal, self.sigma_eta_idler):
-            if not 0.0 <= sigma < 1.0:
-                raise DomainError("efficiency uncertainties must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,18 @@ described by its pair-number distribution; the joint state is diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _INT64_MAX, MAX_PHOTONS, _is_int
+from .detector import MAX_PHOTONS
 from .errors import DomainError
 from .stats import (
     JointPhotonDistribution,
     PhotonDistribution,
+    _count,
+    _is_real,
     default_n_max,
     negative_binomial_probs,
     poisson_probs,
@@ -38,12 +41,10 @@ def poisson_dist(mean: float, n_max: int | None = None) -> PhotonDistribution:
 
 def fock_dist(n: int, n_max: int | None = None) -> PhotonDistribution:
     """Definite photon number n."""
-    if n < 0:
-        raise DomainError("Fock photon number must be non-negative")
-    if n_max is None:
-        n_max = max(n, 1)
+    n = _count(n, "photons", 0)
+    n_max = max(n, 1) if n_max is None else _count(n_max, "n_max", 0)
     if n > n_max:
-        raise DomainError(f"Fock photon number {n} exceeds n_max={n_max}")
+        raise DomainError(f"photons {n} exceeds n_max={n_max}")
     probs = np.zeros(n_max + 1)
     probs[n] = 1.0
     return PhotonDistribution(probs)
@@ -60,8 +61,7 @@ def multimode_pair_dist(modes: int, total_mean: float, n_max: int | None = None)
     Each mode is thermal with mean total_mean / M; their sum follows a
     negative binomial law that approaches a Poissonian as M grows.
     """
-    if not _is_int(modes) or not 1 <= modes <= _INT64_MAX:
-        raise DomainError(f"modes must be an integer in [1, {_INT64_MAX}]")
+    modes = _count(modes, "modes", 1)
     if n_max is None:
         n_max = default_n_max(total_mean)
     return PhotonDistribution(negative_binomial_probs(total_mean, n_max, modes))
@@ -74,19 +74,22 @@ def twin_beam_joint(pair_dist: PhotonDistribution) -> JointPhotonDistribution:
     return JointPhotonDistribution(np.diag(pair_dist.probs))
 
 
-def _checked_int(name: str, value: object) -> None:
-    """Reject a given ``value`` that is not an integer; None means not given."""
-    if value is not None and not _is_int(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+def _cutoff(n_max: object) -> int | None:
+    """A named source's given pair cutoff, checked; None means not given."""
+    return None if n_max is None else _count(n_max, "n_max", 0, MAX_PHOTONS)
 
 
-def _bounded_cutoff(mean: float, n_max: int | None) -> int:
-    """The pair cutoff a named source builds, checked before anything is built."""
-    _checked_int("n_max", n_max)
-    cutoff = default_n_max(mean) if n_max is None else n_max
-    if cutoff > MAX_PHOTONS:
-        raise DomainError(f"pair cutoff {cutoff} exceeds MAX_PHOTONS={MAX_PHOTONS}")
-    return cutoff
+def _mean_and_cutoff(mean: object, n_max: object) -> tuple[float, int]:
+    """A named source's mean and the pair cutoff it builds, checked before anything is built."""
+    if not _is_real(mean) or not math.isfinite(mean) or mean < 0:
+        raise DomainError("mean must be a finite non-negative number")
+    mean = float(mean)
+    if n_max is not None:
+        return mean, _cutoff(n_max)
+    # a mean past MAX_PHOTONS implies a longer cutoff, even one default_n_max cannot compute
+    if mean > MAX_PHOTONS or default_n_max(mean) > MAX_PHOTONS:
+        raise DomainError(f"mean {mean!r} implies an n_max above {MAX_PHOTONS}")
+    return mean, default_n_max(mean)
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ class SourceModel:
 
     The named constructors record their parameters (``mean``, ``modes``,
     ``photons``) so a source built from a config can be serialized back
-    to the same config; like a config's, such a source's pair number
-    stops at ``MAX_PHOTONS``.  A source without them (``custom``) may run
-    longer, since it serializes as its pair distribution.
+    to the same config.  They apply the config-file rules to those
+    parameters and ``n_max``, in its wording, so such a source's pair
+    number stops at ``MAX_PHOTONS``.  A source without them (``custom``)
+    may run longer, since it serializes as its pair distribution.
     """
 
     pair_dist: PhotonDistribution
@@ -120,26 +124,24 @@ class SourceModel:
     @classmethod
     def single_mode_squeezer(cls, mean: float, n_max: int | None = None) -> "SourceModel":
         """Single-mode parametric source: thermal pair statistics."""
-        return cls(thermal_dist(mean, _bounded_cutoff(mean, n_max)), "thermal", mean=float(mean))
+        mean, n_max = _mean_and_cutoff(mean, n_max)
+        return cls(thermal_dist(mean, n_max), "thermal", mean=mean)
 
     @classmethod
     def multimode_pdc(cls, modes: int, total_mean: float, n_max: int | None = None) -> "SourceModel":
         """Multimode parametric source: negative-binomial pair statistics."""
-        return cls(
-            multimode_pair_dist(modes, total_mean, _bounded_cutoff(total_mean, n_max)),
-            "multimode",
-            mean=float(total_mean),
-            modes=int(modes),
-        )
+        modes = _count(modes, "modes", 1)
+        mean, n_max = _mean_and_cutoff(total_mean, n_max)
+        return cls(multimode_pair_dist(modes, mean, n_max), "multimode", mean=mean, modes=modes)
 
     @classmethod
     def poissonian_pairs(cls, mean: float, n_max: int | None = None) -> "SourceModel":
         """Pair statistics of many weak independent modes."""
-        return cls(poisson_dist(mean, _bounded_cutoff(mean, n_max)), "poisson", mean=float(mean))
+        mean, n_max = _mean_and_cutoff(mean, n_max)
+        return cls(poisson_dist(mean, n_max), "poisson", mean=mean)
 
     @classmethod
     def fock_pairs(cls, n: int, n_max: int | None = None) -> "SourceModel":
         """Exactly n pairs per shot."""
-        _checked_int("photons", n)
-        _checked_int("n_max", n_max)
-        return cls(fock_dist(n, n_max), "fock", photons=int(n))
+        n = _count(n, "photons", 0, MAX_PHOTONS)
+        return cls(fock_dist(n, _cutoff(n_max)), "fock", photons=n)

@@ -9,6 +9,7 @@ negativity and expose a physicality predicate instead of rejecting it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -22,9 +23,33 @@ _EPS = float(np.finfo(float).eps)
 # they are flagged non-physical.
 NEGATIVITY_TOL = 1e-3
 
+# Integers become numpy sizes and indices, so a count is at most _INT64_MAX.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 GOLDEN_MAX_ITER = 200
 GOLDEN_XTOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """True for a number a float holds; an integer too large for one is not."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.floating))
+
+
+def _count(value: object, name: str, least: int, most: int = _INT64_MAX) -> int:
+    """``value`` as an integer in [least, most], else DomainError naming ``name``; least is 0 or 1."""
+    if not _is_int(value) or value < least:
+        rule = "a positive" if least else "a non-negative"
+        raise DomainError(f"{name} must be {rule} integer")
+    if value > most:
+        raise DomainError(f"{name} must be at most {most}")
+    return int(value)
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -312,9 +337,7 @@ def thermal_probs(mean: float, n_max: int) -> np.ndarray:
     """Truncated, renormalized thermal (geometric) probability vector."""
     if mean < 0:
         raise DomainError("thermal mean must be non-negative")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    return _thermal_pmf(n_max)(mean)
+    return _thermal_pmf(_count(n_max, "n_max", 0))(mean)
 
 
 def poisson_probs(mean: float, n_max: int) -> np.ndarray:
@@ -326,9 +349,7 @@ def negative_binomial_probs(mean: float, n_max: int, modes: float = math.inf) ->
     """Negative binomial: photon number of ``modes`` identical thermal modes, renormalized."""
     if mean < 0:
         raise DomainError("mean must be non-negative")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    return _negative_binomial_pmf(n_max, modes)(mean)
+    return _negative_binomial_pmf(_count(n_max, "n_max", 0), modes)(mean)
 
 
 def _golden_minimize(objective, lo: float, hi: float) -> float:

@@ -227,7 +227,7 @@ class TestArgumentErrors:
         })
         out = tmp_path / "o"
         assert run_cli("simulate", "--config", config, "--out", out) == EXIT_CONFIG
-        assert "MAX_BINS" in capsys.readouterr().err
+        assert "signal.bins must be at most 32" in capsys.readouterr().err
         assert not (out / "simulation.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "replicate"])

@@ -109,6 +109,16 @@ class TestConvolutionMatrix:
         with pytest.raises(DomainError, match="MAX_BINS"):
             convolution_matrix(np.full(bins, 1.0 / bins), 2)
 
+    @pytest.mark.parametrize("n_max", [2.5, 4.0, True, "4", -1])
+    def test_cutoff_must_be_a_non_negative_integer(self, n_max):
+        # no 5x3 matrix for a cutoff of 2.5, and no 5x2 one for True
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
+            convolution_matrix(np.full(4, 0.25), n_max)
+
+    def test_cutoff_has_no_config_bound(self):
+        # only a config-built detector stops at MAX_PHOTONS
+        assert convolution_matrix(np.array([1.0]), MAX_PHOTONS + 1).shape == (2, MAX_PHOTONS + 2)
+
 
 class TestLossMatrix:
     def test_entries_are_binomial(self):
@@ -148,6 +158,11 @@ class TestLossMatrix:
         with pytest.raises(DomainError):
             loss_matrix(-0.1, 3)
 
+    @pytest.mark.parametrize("n_max", [2.5, 4.0, True, "4", -1])
+    def test_cutoff_must_be_a_non_negative_integer(self, n_max):
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
+            loss_matrix(0.5, n_max)
+
 
 class TestTMDConfig:
     def test_uniform_constructor(self):
@@ -166,26 +181,35 @@ class TestTMDConfig:
         with pytest.raises(DomainError):
             TMDConfig(np.array([-0.5, 1.5]), 1.0, 2)
         # one bin per bit of a uint32 click mask
-        with pytest.raises(DomainError, match="MAX_BINS"):
+        with pytest.raises(DomainError, match=r"^bins must be at most 32$"):
             TMDConfig.uniform(MAX_BINS + 1)
-        with pytest.raises(DomainError, match="MAX_BINS"):
+        with pytest.raises(DomainError, match=r"^bin_probs has 33 entries, more than MAX_BINS=32$"):
             TMDConfig(np.full(MAX_BINS + 1, 1.0 / (MAX_BINS + 1)), 1.0, 2)
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(DomainError):
             TMDConfig(np.array([1.0]), 1.5, 1)
+        # a string or a bool is no efficiency, as in a config file
+        for efficiency in ("0.5", True):
+            with pytest.raises(DomainError, match=r"^efficiency must be a number$"):
+                TMDConfig.uniform(8, efficiency)
+
+    @pytest.mark.parametrize("bins", [2.5, True, "4", 0])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(DomainError, match=r"^bins must be a positive integer$"):
+            TMDConfig.uniform(bins)
 
     def test_cutoff_is_bounded_like_a_config_file(self):
         # so every detector's n_max reads back from the config.json it writes
         assert TMDConfig.uniform(1, n_max=MAX_PHOTONS).n_max == MAX_PHOTONS
-        for n_max in (-1, MAX_PHOTONS + 1):
-            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+        for n_max, message in ((-1, "a non-negative integer"), (MAX_PHOTONS + 1, "at most 4096")):
+            with pytest.raises(DomainError, match=f"^n_max must be {message}$"):
                 TMDConfig(np.array([1.0]), 0.117, n_max)
 
     @pytest.mark.parametrize("n_max", [2.7, 4.0, float("inf"), float("nan"), True, "4"])
     def test_cutoff_must_be_an_integer(self, n_max):
         # no silent truncation to 2, and no OverflowError from int(inf)
-        with pytest.raises(DomainError, match="n_max must be an integer"):
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
             TMDConfig.uniform(4, 0.5, n_max=n_max)
 
     def test_numpy_integer_cutoff(self):

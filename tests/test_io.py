@@ -246,7 +246,7 @@ class TestConfigValidation:
 
     def test_detector_error_names_the_arm_only(self):
         doc = self.minimal() | {"idler": {"bins": 8, "efficiency": 1.5}}
-        with pytest.raises(ConfigError, match=r"^idler: efficiency 1.5 outside"):
+        with pytest.raises(ConfigError, match=r"^idler\.efficiency 1\.5 outside"):
             config_from_doc(doc)
 
     def test_rejects_seed_out_of_range(self):
@@ -307,11 +307,12 @@ _CONFIG_MESSAGES = [
     ("source", "modes", 2.0, "source.modes must be a positive integer"),
     ("source", "gain", 2.0, "unknown field 'gain' in source"),
     ("signal", "bins", 0, "signal.bins must be a positive integer"),
-    ("signal", "bins", 33, "signal: bins 33 outside [1, MAX_BINS=32]"),
+    ("signal", "bins", 33, "signal.bins must be at most 32"),
+    ("signal", "bins", 2**63, "signal.bins must be at most 32"),
     ("signal", "n_max", -1, "signal.n_max must be a non-negative integer"),
     ("signal", "n_max", 4097, "signal.n_max must be at most 4096"),
     ("signal", "efficiency", "1", "signal.efficiency must be a number"),
-    ("signal", "efficiency", 1.5, "signal: efficiency 1.5 outside [0, 1]"),
+    ("signal", "efficiency", 1.5, "signal.efficiency 1.5 outside [0, 1]"),
     ("signal", "efficiency_uncertainty", 1.0, "signal.efficiency_uncertainty must lie in [0, 1)"),
     ("signal", "bin_probs", "x", "signal: give either bins or bin_probs, not both"),
     ("signal", "dead_time", 1, "unknown field 'dead_time' in signal"),
@@ -337,9 +338,11 @@ _OTHER_BLOCKS = [
     ("source", {"kind": "custom", "pair_dist": [1, "a"]}, "source.pair_dist must be a list of numbers"),
     ("source", {"kind": "custom", "pair_dist": 1.0}, "source.pair_dist must be a list of numbers"),
     ("source", {"kind": "custom"}, "missing required field 'pair_dist' in source"),
+    ("source", {"kind": "custom", "pair_dist": [-0.5, 1.5]},
+     "source.pair_dist: pair distribution must be non-negative"),
     ("source", {"kind": "custom", "pair_dist": [0.5, 0.5], "n_max": 9},
      "source.n_max does not apply to a custom source; pair_dist sets its truncation"),
-    ("source", {"kind": "fock", "photons": 3, "n_max": 2}, "source: Fock photon number 3 exceeds n_max=2"),
+    ("source", {"kind": "fock", "photons": 3, "n_max": 2}, "source.photons 3 exceeds n_max=2"),
     ("source", {"kind": "fock", "photons": 1, "mean": 9}, "unknown field 'mean' in source"),
     ("source", {"kind": "custom", "pair_dist": [0.5, 0.5], "modes": 9}, "unknown field 'modes' in source"),
     ("source", {"kind": "fock", "photons": 4097}, "source.photons must be at most 4096"),
@@ -391,6 +394,84 @@ class TestConfigMessages:
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match=r"^config must be a JSON object$"):
             config_from_doc([])
+
+
+# Every value each numeric config field is tried with: bools, strings,
+# non-integers, values at and past each bound, non-finite and huge numbers.
+_FIELD_VALUES = [
+    True, False, "0.5", 2.5, -1, 0, 1, 2, 3, 8, 32, 33, 4096, 4097, 2**63 - 1, 2**63, 2**64,
+    1e300, [], None, 0.0, 0.5, 1.0, 1.5, -0.5, 0.999, math.inf, math.nan, 2.0, 300.0, 10**400,
+]
+_BIN_PROBS = [0.25, 0.75]
+# (config prefix, block, other fields of the block, field, library build from the field's
+# value, the ExperimentConfig field the build stands for); a config error is the prefix
+# followed by the library's message.  ExperimentConfig words its messages for the whole
+# document, so its fields have no prefix.
+_RULE_OWNERS = [
+    ("source.", "source", {"kind": "thermal"}, "mean",
+     lambda v: SourceModel.single_mode_squeezer(v), "source"),
+    ("source.", "source", {"kind": "thermal", "mean": 0.5}, "n_max",
+     lambda v: SourceModel.single_mode_squeezer(0.5, v), "source"),
+    ("source.", "source", {"kind": "poisson"}, "mean",
+     lambda v: SourceModel.poissonian_pairs(v), "source"),
+    ("source.", "source", {"kind": "poisson", "mean": 0.5}, "n_max",
+     lambda v: SourceModel.poissonian_pairs(0.5, v), "source"),
+    ("source.", "source", {"kind": "multimode", "mean": 0.5}, "modes",
+     lambda v: SourceModel.multimode_pdc(v, 0.5), "source"),
+    ("source.", "source", {"kind": "multimode", "modes": 2}, "mean",
+     lambda v: SourceModel.multimode_pdc(2, v), "source"),
+    ("source.", "source", {"kind": "multimode", "modes": 2, "mean": 0.5}, "n_max",
+     lambda v: SourceModel.multimode_pdc(2, 0.5, v), "source"),
+    ("source.", "source", {"kind": "fock"}, "photons",
+     lambda v: SourceModel.fock_pairs(v), "source"),
+    ("source.", "source", {"kind": "fock", "photons": 1}, "n_max",
+     lambda v: SourceModel.fock_pairs(1, v), "source"),
+    ("signal.", "signal", {"efficiency": 0.5}, "bins",
+     lambda v: TMDConfig.uniform(v, 0.5), "tmd_signal"),
+    ("signal.", "signal", {"bins": 4, "efficiency": 0.5}, "n_max",
+     lambda v: TMDConfig.uniform(4, 0.5, v), "tmd_signal"),
+    ("signal.", "signal", {"bins": 4}, "efficiency",
+     lambda v: TMDConfig.uniform(4, v), "tmd_signal"),
+    # a file's null n_max is an absent one, which a bin_probs block takes as its length
+    ("idler.", "idler", {"bin_probs": _BIN_PROBS, "efficiency": 0.5}, "n_max",
+     lambda v: TMDConfig(np.array(_BIN_PROBS), 0.5, len(_BIN_PROBS) if v is None else v), "tmd_idler"),
+    ("idler.", "idler", {"bin_probs": _BIN_PROBS}, "efficiency",
+     lambda v: TMDConfig(np.array(_BIN_PROBS), v, 2), "tmd_idler"),
+    ("", "config", {}, "shots",
+     lambda v: replace(config_from_doc(_layout_d_doc()), shots=v).shots, "shots"),
+    ("", "config", {}, "seed",
+     lambda v: replace(config_from_doc(_layout_d_doc()), seed=v).seed, "seed"),
+    ("", "signal", {"bins": 8, "efficiency": 0.5}, "efficiency_uncertainty",
+     lambda v: replace(config_from_doc(_layout_d_doc()), sigma_eta_signal=v).sigma_eta_signal,
+     "sigma_eta_signal"),
+    ("", "idler", {"bins": 8, "efficiency": 0.5}, "efficiency_uncertainty",
+     lambda v: replace(config_from_doc(_layout_d_doc()), sigma_eta_idler=v).sigma_eta_idler,
+     "sigma_eta_idler"),
+]
+
+
+class TestOneOwnerPerRule:
+    """A library type owns each numeric config rule: a file and the type agree on every value."""
+
+    @pytest.mark.parametrize("prefix, block, fields, field, build, part", _RULE_OWNERS, ids=[
+        f"{block}.{field}({fields.get('kind', 'bin_probs' if 'bin_probs' in fields else 'bins')})"
+        for _, block, fields, field, _, _ in _RULE_OWNERS
+    ])
+    def test_file_and_library_agree(self, prefix, block, fields, field, build, part):
+        for value in _FIELD_VALUES:
+            doc = _layout_d_doc()
+            if block == "config":
+                doc[field] = value
+            else:
+                doc[block] = {**fields, field: value}
+            try:
+                built = build(value)
+            except DomainError as exc:
+                with pytest.raises(ConfigError) as info:
+                    config_from_doc(doc)
+                assert str(info.value) == prefix + str(exc), value
+                continue
+            assert getattr(config_from_doc(doc), part) == built, value
 
 
 class TestStockLayouts:
@@ -551,8 +632,9 @@ class TestShotFiles:
         with pytest.raises(DataFormatError):
             ingest_shots(path)
         # a declared bin count must fit a click mask
-        for bins in (-1, 0, 33, 40):
-            with pytest.raises(DomainError, match="MAX_BINS"):
+        for bins, message in ((-1, "a positive integer"), (0, "a positive integer"),
+                              (33, "at most 32"), (40, "at most 32")):
+            with pytest.raises(DomainError, match=f"^signal_bins must be {message}$"):
                 ingest_shots(path, signal_bins=bins)
 
     def test_ingest_rejects_wide_mask(self, tmp_path):

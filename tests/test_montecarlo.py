@@ -161,12 +161,16 @@ class TestExperimentConfig:
             with pytest.raises(DomainError) as info:
                 ExperimentConfig(shots=shots, seed=seed, **good)
             assert str(info.value) == message
-        with pytest.raises(DomainError):
-            ExperimentConfig(shots=10, seed=0, sigma_eta_signal=1.0, **good)
-        # accepted values are stored as int
+        for arm, sigma in [("signal", 1.0), ("signal", "0.1"), ("idler", True), ("idler", -0.1)]:
+            with pytest.raises(DomainError) as info:
+                ExperimentConfig(shots=10, seed=0, **{f"sigma_eta_{arm}": sigma}, **good)
+            assert str(info.value) == f"{arm}.efficiency_uncertainty must lie in [0, 1)"
+        # accepted values are stored as int, and uncertainties as float
         config = ExperimentConfig(shots=np.int64(2**63 - 1), seed=np.uint64(2**64 - 1), **good)
         assert (type(config.shots), type(config.seed)) == (int, int)
         assert (config.shots, config.seed) == (2**63 - 1, 2**64 - 1)
+        config = ExperimentConfig(shots=10, seed=0, sigma_eta_signal=0, sigma_eta_idler=np.int64(0), **good)
+        assert (type(config.sigma_eta_signal), type(config.sigma_eta_idler)) == (float, float)
 
 
 class TestRunExperiment:

@@ -1,5 +1,7 @@
 """Pair sources and reference distributions."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import nbinom
@@ -19,7 +21,7 @@ from tmdkit import (
 )
 from tmdkit import sources
 from tmdkit.detector import MAX_PHOTONS
-from tmdkit.stats import thermal_probs
+from tmdkit.stats import default_n_max, thermal_probs
 
 
 class TestReferenceDistributions:
@@ -48,8 +50,27 @@ class TestReferenceDistributions:
     def test_fock_rejects_bad_values(self):
         with pytest.raises(DomainError):
             fock_dist(-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^photons 5 exceeds n_max=3$"):
             fock_dist(5, n_max=3)
+        with pytest.raises(DomainError, match=r"^photons must be a non-negative integer$"):
+            fock_dist(1.0)
+
+    @pytest.mark.parametrize("n_max", [2.5, 4.0, True, "4", -1])
+    @pytest.mark.parametrize("build", [
+        lambda n_max: thermal_dist(0.5, n_max),
+        lambda n_max: poisson_dist(0.5, n_max),
+        lambda n_max: multimode_pair_dist(2, 0.5, n_max),
+        lambda n_max: fock_dist(1, n_max),
+    ], ids=["thermal", "poisson", "multimode", "fock"])
+    def test_cutoff_must_be_a_non_negative_integer(self, build, n_max):
+        # a thermal cutoff of 2.5 built 4 entries; the others raised numpy's TypeError
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
+            build(n_max)
+
+    def test_cutoff_has_no_config_bound(self):
+        # only a source that records its parameters stops at MAX_PHOTONS
+        assert thermal_dist(0.5, MAX_PHOTONS + 1).n_max == MAX_PHOTONS + 1
+        assert fock_dist(MAX_PHOTONS + 1).n_max == MAX_PHOTONS + 1
 
 
 class TestConvolve:
@@ -155,12 +176,12 @@ class TestSourceModel:
     def test_recorded_parameters_bound_the_cutoff(self):
         # a source serialized by its parameters reads back only up to MAX_PHOTONS
         assert SourceModel.fock_pairs(1, n_max=MAX_PHOTONS).pair_dist.n_max == MAX_PHOTONS
-        for build in (
-            lambda: SourceModel.single_mode_squeezer(300.0),
-            lambda: SourceModel.poissonian_pairs(0.2, n_max=MAX_PHOTONS + 1),
-            lambda: SourceModel.multimode_pdc(2, 0.2, n_max=MAX_PHOTONS + 1),
+        for build, message in (
+            (lambda: SourceModel.single_mode_squeezer(300.0), "mean 300.0 implies an n_max above 4096"),
+            (lambda: SourceModel.poissonian_pairs(0.2, n_max=MAX_PHOTONS + 1), "n_max must be at most 4096"),
+            (lambda: SourceModel.multimode_pdc(2, 0.2, n_max=MAX_PHOTONS + 1), "n_max must be at most 4096"),
         ):
-            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            with pytest.raises(DomainError, match=f"^{message}$"):
                 build()
 
     @pytest.mark.parametrize("n_max", [2.7, 3.0, True, "3"])
@@ -172,15 +193,17 @@ class TestSourceModel:
     ], ids=["thermal", "poisson", "multimode", "fock"])
     def test_cutoff_must_be_an_integer(self, build, n_max):
         # a float cutoff is neither rounded nor passed on to numpy
-        with pytest.raises(DomainError, match="n_max must be an integer"):
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
             build(n_max)
 
     def test_fock_photon_number_must_be_an_integer(self):
-        with pytest.raises(DomainError, match="photons must be an integer"):
+        with pytest.raises(DomainError, match=r"^photons must be a non-negative integer$"):
             SourceModel.fock_pairs(1.0)
         assert SourceModel.fock_pairs(np.int64(2), n_max=np.int32(3)).pair_dist.n_max == 3
 
-    @pytest.mark.parametrize("mean, cutoff", [(1e6, 16_000_008), (1e12, 16_000_000_000_008)])
+    @pytest.mark.parametrize("mean, cutoff", [
+        (300.0, 4_808), (1e6, 16_000_008), (1e12, 16_000_000_000_008),
+    ])
     @pytest.mark.parametrize("build", [
         SourceModel.single_mode_squeezer,
         SourceModel.poissonian_pairs,
@@ -190,12 +213,28 @@ class TestSourceModel:
         def refuse(*args):
             raise AssertionError("built a pair distribution past MAX_PHOTONS")
 
+        assert default_n_max(mean) == cutoff
         for builder in ("thermal_probs", "poisson_probs", "negative_binomial_probs"):
             monkeypatch.setattr(sources, builder, refuse)
-        with pytest.raises(DomainError, match=f"^pair cutoff {cutoff} exceeds MAX_PHOTONS=4096$"):
+        with pytest.raises(DomainError, match=f"^mean {mean!r} implies an n_max above 4096$"):
             build(mean)
+
+    @pytest.mark.parametrize("mean", ["0.5", True, None, -0.5, math.inf, math.nan, 10**400])
+    @pytest.mark.parametrize("build", [
+        SourceModel.single_mode_squeezer,
+        SourceModel.poissonian_pairs,
+        lambda mean, n_max=None: SourceModel.multimode_pdc(3, mean, n_max),
+    ], ids=["thermal", "poisson", "multimode"])
+    def test_mean_must_be_a_finite_non_negative_number(self, build, mean):
+        # checked first, so an infinite mean with a cutoff warns of no overflow
+        for n_max in (None, 4):
+            with pytest.raises(DomainError, match=r"^mean must be a finite non-negative number$"):
+                build(mean, n_max)
 
     def test_mean_without_a_finite_cutoff(self):
         # an overflowing cutoff is a domain error, not an OverflowError
         with pytest.raises(DomainError, match="finite photon-number cutoff"):
+            thermal_dist(1e300)
+        # a named source reads a mean past MAX_PHOTONS as past the cutoff bound
+        with pytest.raises(DomainError, match=r"^mean 1e\+300 implies an n_max above 4096$"):
             SourceModel.single_mode_squeezer(1e300)

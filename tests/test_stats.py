@@ -297,6 +297,13 @@ class TestModelProbs:
         with pytest.raises(DomainError):
             poisson_probs(1.0, -1)
 
+    @pytest.mark.parametrize("build", [thermal_probs, poisson_probs, negative_binomial_probs])
+    @pytest.mark.parametrize("n_max", [2.5, 4.0, True, "4", -1])
+    def test_cutoff_must_be_a_non_negative_integer(self, build, n_max):
+        # neither truncated to a shorter vector nor passed on to numpy
+        with pytest.raises(DomainError, match=r"^n_max must be a non-negative integer$"):
+            build(0.5, n_max)
+
     @given(mean=st.floats(0.01, 50.0), n_max=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
     def test_both_families_normalized(self, mean, n_max):
