@@ -19,7 +19,7 @@ from .stats import (
     JointPhotonDistribution,
     PhotonDistribution,
     _count,
-    _is_real,
+    _efficiency,
     combine_collective,
 )
 
@@ -64,17 +64,11 @@ class TMDConfig:
 
     def __post_init__(self) -> None:
         probs = _checked_bin_probs(self.bin_probs)
-        if not _is_real(self.efficiency):
-            raise DomainError("efficiency must be a number")
-        eff = float(self.efficiency)
-        if not 0.0 <= eff <= 1.0:
-            raise DomainError(f"efficiency {eff!r} outside [0, 1]")
-        n_max = _count(self.n_max, "n_max", 0, MAX_PHOTONS)
+        object.__setattr__(self, "efficiency", _efficiency(self.efficiency))
+        object.__setattr__(self, "n_max", _count(self.n_max, "n_max", 0, MAX_PHOTONS))
         probs = np.array(probs, copy=True)
         probs.flags.writeable = False
         object.__setattr__(self, "bin_probs", probs)
-        object.__setattr__(self, "efficiency", eff)
-        object.__setattr__(self, "n_max", n_max)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TMDConfig):
@@ -138,8 +132,7 @@ def _binomial_stage(efficiency: float, n_max: int) -> np.ndarray:
 
 def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     """Binomial loss stage: entry (n, m) is P(n of m photons survive)."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError(f"efficiency {efficiency!r} outside [0, 1]")
+    _efficiency(efficiency)
     return _column_stochastic(_binomial_stage(efficiency, _count(n_max, "n_max", 0)))
 
 

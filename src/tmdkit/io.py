@@ -189,6 +189,14 @@ def _numbers(value: Any, name: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _n_max(doc: dict) -> Any:
+    """``doc``'s n_max, None when absent; the library reads None as not given, so a null is refused."""
+    n_max = doc.get("n_max")
+    if n_max is None and "n_max" in doc:
+        _count(n_max, "n_max", 0)  # raises: a null is no integer
+    return n_max
+
+
 def _parse_source(doc: Any) -> SourceModel:
     if not isinstance(doc, dict):
         raise ConfigError("source must be an object")
@@ -210,7 +218,7 @@ def _parse_source(doc: Any) -> SourceModel:
         except DomainError as exc:
             raise ConfigError(f"source.pair_dist: {exc}") from exc
     try:
-        return constructor(*args, doc.get("n_max"))
+        return constructor(*args, _n_max(doc))
     except DomainError as exc:
         raise ConfigError(f"source.{exc}") from exc
 
@@ -224,8 +232,9 @@ def _parse_detector(doc: Any, arm: str, stock_bins: int) -> tuple[TMDConfig, Any
     _reject_unknown(doc, _DETECTOR_KEYS, arm)
     if "bins" in doc and "bin_probs" in doc:
         raise ConfigError(f"{arm}: give either bins or bin_probs, not both")
-    efficiency, n_max = doc.get("efficiency", 1.0), doc.get("n_max")
+    efficiency = doc.get("efficiency", 1.0)
     try:
+        n_max = _n_max(doc)
         if "bin_probs" in doc:
             probs = _numbers(doc["bin_probs"], f"{arm}.bin_probs")
             tmd = TMDConfig(probs, efficiency, probs.size if n_max is None else n_max)
@@ -335,15 +344,18 @@ def write_shots(
 ) -> None:
     """Write per-shot click masks as CSV, one row per shot.
 
-    Masks are decimal integers; bit i set means bin i clicked.  Either
-    arm may be omitted for single-detector runs.
+    Masks are integer arrays, written as decimal integers; bit i set
+    means bin i clicked.  Either arm may be omitted for single-detector runs.
     """
     columns = []
     header = ["shot_id"]
-    for name, masks in (("signal_mask", signal_masks), ("idler_mask", idler_masks)):
+    for arm, masks in (("signal", signal_masks), ("idler", idler_masks)):
         if masks is not None:
-            columns.append(np.asarray(masks))
-            header.append(name)
+            masks = np.asarray(masks)
+            if not np.issubdtype(masks.dtype, np.integer):
+                raise DomainError(f"{arm}_masks must be an integer array, got dtype {masks.dtype}")
+            columns.append(masks)
+            header.append(f"{arm}_mask")
     if not columns:
         raise DomainError("write_shots needs at least one arm")
     length = columns[0].size

@@ -26,7 +26,7 @@ import numpy as np
 from .detector import TMDConfig
 from .errors import DomainError
 from .sources import SourceModel
-from .stats import ClickStatistics, _count, _is_int, _is_real
+from .stats import ClickStatistics, _count, _is_int, _uncertainty
 
 CHUNK_SIZE = 1 << 16
 # shots per stage call within a chunk; splitting a draw into consecutive
@@ -65,10 +65,8 @@ class ExperimentConfig:
         if self.setup not in SETUPS:
             raise DomainError(f"setup must be one of {SETUPS}, got {self.setup!r}")
         for arm in ("signal", "idler"):
-            sigma = getattr(self, f"sigma_eta_{arm}")
-            if not _is_real(sigma) or not 0.0 <= sigma < 1.0:
-                raise DomainError(f"{arm}.efficiency_uncertainty must lie in [0, 1)")
-            object.__setattr__(self, f"sigma_eta_{arm}", float(sigma))
+            sigma = _uncertainty(getattr(self, f"sigma_eta_{arm}"), f"{arm}.efficiency_uncertainty")
+            object.__setattr__(self, f"sigma_eta_{arm}", sigma)
         object.__setattr__(self, "shots", _count(self.shots, "shots", 1))
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
@@ -108,8 +106,7 @@ def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
 
 def iter_shot_chunks(shots: int) -> Iterator[tuple[int, int]]:
     """Yield (chunk_index, chunk_shots) covering ``shots`` in order, ``CHUNK_SIZE`` at a time."""
-    if shots <= 0:
-        raise DomainError("shots must be positive")
+    shots = _count(shots, "shots", 1)
     for index, start in enumerate(range(0, shots, CHUNK_SIZE)):
         yield index, min(CHUNK_SIZE, shots - start)
 

@@ -35,6 +35,7 @@ from .errors import (
     TruncationError,
 )
 from .stats import ClickStatistics, JointPhotonDistribution, PhotonDistribution
+from .stats import _count, _non_negative, _uncertainty
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,9 @@ def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord
     When both arguments are integer counts, a binomial standard error is
     attached; for rates the uncertainty is left unset.
     """
-    if not math.isfinite(coincidences) or not math.isfinite(singles):
-        raise DomainError("coincidences and singles must be finite")
-    if singles <= 0:
+    _non_negative(coincidences, "coincidences")
+    if _non_negative(singles, "singles") == 0.0:
         raise DegenerateConditionError("singles rate must be positive")
-    if coincidences < 0:
-        raise DomainError("coincidences must be non-negative")
     if coincidences > singles:
         raise DomainError(
             f"coincidences {coincidences!r} exceed singles {singles!r}; ratio would leave [0, 1]"
@@ -329,34 +327,31 @@ def propagate_errors(
     Args:
         tmd: detector model used for the inversion.
         clicks: click histogram or exact click frequency vector.
-        sigma_eta: one-sigma uncertainty of the detector efficiency.
-        shots: shot count for the counting term when ``clicks`` is exact.
+        sigma_eta: one-sigma uncertainty of the detector efficiency, in [0, 1).
+        shots: shot count (a positive integer) for the counting term when ``clicks`` is exact.
 
     Returns:
         Symmetric positive semi-definite covariance matrix over the
         reconstructed probabilities.
     """
-    if sigma_eta < 0.0 or not math.isfinite(sigma_eta):
-        raise DomainError("sigma_eta must be finite and non-negative")
+    _uncertainty(sigma_eta, "sigma_eta")
     conv, loss = _stages(tmd)
     rho, counted = _click_frequencies((tmd,), clicks)
-    if counted is not None and shots is not None:
-        raise DomainError("shots is for exact clicks; a ClickStatistics carries its own count")
-    if shots is None:
-        shots = counted
+    if shots is not None:
+        if counted is not None:
+            raise DomainError("shots is for exact clicks; a ClickStatistics carries its own count")
+        counted = _count(shots, "shots", 1)
 
     probs, total = _direct([(conv, loss)], rho)
     size = probs.size
     covariance = np.zeros((size, size))
 
-    if shots is not None:
-        if shots <= 0:
-            raise DomainError("shots must be positive")
+    if counted is not None:
         # d(normalized p)/d(rho), renormalization projects out total-mass shifts
         inverse = _solve_stages(conv, loss, np.eye(rho.size))
         jacobian = (np.eye(size) - np.outer(probs, np.ones(size))) @ inverse
         jacobian /= total
-        freq_cov = (np.diag(rho) - np.outer(rho, rho)) / float(shots)
+        freq_cov = (np.diag(rho) - np.outer(rho, rho)) / float(counted)
         covariance += jacobian @ freq_cov @ jacobian.T
 
     if sigma_eta > 0.0:

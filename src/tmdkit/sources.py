@@ -6,7 +6,6 @@ described by its pair-number distribution; the joint state is diagonal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .stats import (
     JointPhotonDistribution,
     PhotonDistribution,
     _count,
-    _is_real,
+    _non_negative,
     default_n_max,
     negative_binomial_probs,
     poisson_probs,
@@ -81,9 +80,7 @@ def _cutoff(n_max: object) -> int | None:
 
 def _mean_and_cutoff(mean: object, n_max: object) -> tuple[float, int]:
     """A named source's mean and the pair cutoff it builds, checked before anything is built."""
-    if not _is_real(mean) or not math.isfinite(mean) or mean < 0:
-        raise DomainError("mean must be a finite non-negative number")
-    mean = float(mean)
+    mean = _non_negative(mean, "mean")
     if n_max is not None:
         return mean, _cutoff(n_max)
     # a mean past MAX_PHOTONS implies a longer cutoff, even one default_n_max cannot compute

@@ -52,6 +52,30 @@ def _count(value: object, name: str, least: int, most: int = _INT64_MAX) -> int:
     return int(value)
 
 
+# Like _count, each checker states one numeric rule of the config file in its words, for
+# the config types and the public functions alike, and returns the value as a float.  A
+# function that computes with the number as given calls it for the check alone.
+def _non_negative(value: object, name: str) -> float:
+    if not _is_real(value) or not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be a finite non-negative number")
+    return float(value)
+
+
+def _efficiency(value: object) -> float:
+    if not _is_real(value):
+        raise DomainError("efficiency must be a number")
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"efficiency {value!r} outside [0, 1]")
+    return value
+
+
+def _uncertainty(value: object, name: str) -> float:
+    if not _is_real(value) or not 0.0 <= value < 1.0:
+        raise DomainError(f"{name} must lie in [0, 1)")
+    return float(value)
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=float, copy=True)
     out.flags.writeable = False
@@ -73,12 +97,18 @@ class _Distribution:
         if probs.ndim != self._ndim or probs.size == 0:
             form = "vector" if self._ndim == 1 else "matrix"
             raise DomainError(f"{self._what} must be a non-empty {self._ndim}-d {form}")
-        if not np.all(np.isfinite(probs)):
-            raise DomainError(f"{self._what} contains non-finite entries")
+        # every partial sum is at most sum|p|, so no sum of entries this small
+        # overflows; a nan or infinite entry fails the bound too
+        magnitudes = np.abs(probs)
+        largest = float(magnitudes.max())
+        if not largest <= sys.float_info.max / (2 * probs.size):
+            if not math.isfinite(largest):
+                raise DomainError(f"{self._what} contains non-finite entries")
+            raise DomainError(f"{self._what} has an entry of magnitude {largest!r}, too large to sum")
         total = float(probs.sum())
         # a renormalized estimate with huge entries of both signs misses 1 by
         # the rounding of its own sum, about eps * size * sum|p|, not by more
-        tolerance = NORMALIZATION_ATOL + _EPS * probs.size * float(np.abs(probs).sum())
+        tolerance = NORMALIZATION_ATOL + _EPS * probs.size * float(magnitudes.sum())
         if abs(total - 1.0) > tolerance:
             raise DomainError(f"{self._what} sums to {total!r}, expected 1 within {tolerance!r}")
         object.__setattr__(self, "probs", _freeze(probs))
@@ -150,9 +180,7 @@ class ClickStatistics:
             counts = counts.astype(np.int64)
         if counts.min() < 0:
             raise DomainError("click counts must be non-negative")
-        total = int(self.total_shots)
-        if total <= 0:
-            raise DomainError("total_shots must be positive")
+        total = _count(self.total_shots, "total_shots", 1)
         if int(counts.sum()) != total:
             raise DomainError(
                 f"click counts sum to {int(counts.sum())}, expected total_shots={total}"
@@ -182,8 +210,7 @@ class FitResult:
 
 def default_n_max(mean: float) -> int:
     """Truncation that keeps even thermal tails negligible for the given mean."""
-    if mean < 0:
-        raise DomainError("mean must be non-negative")
+    _non_negative(mean, "mean")
     tail = mean + 15.0 * math.sqrt(mean * (1.0 + mean))
     if not math.isfinite(tail):
         raise DomainError(f"mean {mean!r} implies no finite photon-number cutoff")
@@ -192,8 +219,7 @@ def default_n_max(mean: float) -> int:
 
 def moment(dist: PhotonDistribution, order: int) -> float:
     """m-th raw moment sum(n^m p_n); order 0 returns the total probability."""
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise DomainError("moment order must be a non-negative integer")
+    _count(order, "order", 0)
     n = np.arange(dist.probs.size, dtype=float)
     return float(np.power(n, order) @ dist.probs)
 
@@ -217,8 +243,7 @@ def conditional(
         raise DomainError(f"herald_arm must be 'signal' or 'idler', got {herald_arm!r}")
     # the herald's axis first
     probs = joint.probs if herald_arm == "signal" else joint.probs.T
-    if not 0 <= herald_value < probs.shape[0]:
-        raise DomainError(f"herald value {herald_value} outside 0..{probs.shape[0] - 1}")
+    herald_value = _count(herald_value, "herald_value", 0, probs.shape[0] - 1)
     slice_ = probs[herald_value]
     total = float(slice_.sum())
     if total <= 0.0:
@@ -335,8 +360,7 @@ def _negative_binomial_pmf(n_max: int, modes: float = math.inf):
 
 def thermal_probs(mean: float, n_max: int) -> np.ndarray:
     """Truncated, renormalized thermal (geometric) probability vector."""
-    if mean < 0:
-        raise DomainError("thermal mean must be non-negative")
+    _non_negative(mean, "mean")
     return _thermal_pmf(_count(n_max, "n_max", 0))(mean)
 
 
@@ -347,8 +371,7 @@ def poisson_probs(mean: float, n_max: int) -> np.ndarray:
 
 def negative_binomial_probs(mean: float, n_max: int, modes: float = math.inf) -> np.ndarray:
     """Negative binomial: photon number of ``modes`` identical thermal modes, renormalized."""
-    if mean < 0:
-        raise DomainError("mean must be non-negative")
+    _non_negative(mean, "mean")
     return _negative_binomial_pmf(_count(n_max, "n_max", 0), modes)(mean)
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -16,25 +17,38 @@ from tmdkit import (
     ClickStatistics,
     ConfigError,
     DataFormatError,
+    DegenerateConditionError,
     DomainError,
     ExperimentConfig,
     JointPhotonDistribution,
     PhotonDistribution,
     SourceModel,
     TMDConfig,
+    collective_forward,
+    conditional,
     config_from_doc,
     default_config,
+    default_n_max,
     ingest_shots,
+    iter_shot_chunks,
+    klyshko_efficiency,
+    loss_matrix,
+    moment,
+    multimode_pair_dist,
     parse_config,
+    poisson_dist,
+    propagate_errors,
     read_json_doc,
     run_experiment,
     run_replicate,
     serialize_config,
+    thermal_dist,
     write_json_doc,
     write_shots,
 )
 import tmdkit.io as tmdio
 from tmdkit.detector import MAX_BINS, MAX_PHOTONS
+from tmdkit.stats import _INT64_MAX, negative_binomial_probs, poisson_probs, thermal_probs
 from tmdkit.io import (
     _PARSE_BLOCK_CHARS,
     _SHOT_BLOCK_ROWS,
@@ -321,6 +335,10 @@ _CONFIG_MESSAGES = [
     ("idler", "efficiency", None, "idler.efficiency must be a number"),
     ("idler", "efficiency_uncertainty", -0.1, "idler.efficiency_uncertainty must lie in [0, 1)"),
     ("idler", "dead_time", 1, "unknown field 'dead_time' in idler"),
+    # the library reads None as a cutoff not given, but a file's null is no integer
+    ("source", "n_max", None, "source.n_max must be a non-negative integer"),
+    ("signal", "n_max", None, "signal.n_max must be a non-negative integer"),
+    ("idler", "n_max", None, "idler.n_max must be a non-negative integer"),
 ] + [
     (block, field, _ABSENT, f"missing required field {field!r} in {block}")
     for block, fields in (
@@ -350,6 +368,8 @@ _OTHER_BLOCKS = [
     ("signal", {"bin_probs": [0.5, "a"]}, "signal.bin_probs must be a list of numbers"),
     ("idler", {"bin_probs": {"0": 1.0}}, "idler.bin_probs must be a list of numbers"),
     ("idler", 8, "idler must be an object"),
+    ("source", {"kind": "fock", "photons": 1, "n_max": None}, "source.n_max must be a non-negative integer"),
+    ("idler", {"bin_probs": [0.5, 0.5], "n_max": None}, "idler.n_max must be a non-negative integer"),
 ]
 
 
@@ -432,9 +452,8 @@ _RULE_OWNERS = [
      lambda v: TMDConfig.uniform(4, 0.5, v), "tmd_signal"),
     ("signal.", "signal", {"bins": 4}, "efficiency",
      lambda v: TMDConfig.uniform(4, v), "tmd_signal"),
-    # a file's null n_max is an absent one, which a bin_probs block takes as its length
     ("idler.", "idler", {"bin_probs": _BIN_PROBS, "efficiency": 0.5}, "n_max",
-     lambda v: TMDConfig(np.array(_BIN_PROBS), 0.5, len(_BIN_PROBS) if v is None else v), "tmd_idler"),
+     lambda v: TMDConfig(np.array(_BIN_PROBS), 0.5, v), "tmd_idler"),
     ("idler.", "idler", {"bin_probs": _BIN_PROBS}, "efficiency",
      lambda v: TMDConfig(np.array(_BIN_PROBS), v, 2), "tmd_idler"),
     ("", "config", {}, "shots",
@@ -464,6 +483,12 @@ class TestOneOwnerPerRule:
                 doc[field] = value
             else:
                 doc[block] = {**fields, field: value}
+            if field == "n_max" and value is None:
+                # the library reads None as a cutoff not given; a file's null is no integer
+                with pytest.raises(ConfigError) as info:
+                    config_from_doc(doc)
+                assert str(info.value) == f"{prefix}n_max must be a non-negative integer"
+                continue
             try:
                 built = build(value)
             except DomainError as exc:
@@ -472,6 +497,93 @@ class TestOneOwnerPerRule:
                 assert str(info.value) == prefix + str(exc), value
                 continue
             assert getattr(config_from_doc(doc), part) == built, value
+
+
+def _clicks_totalling(total):
+    """One-cell click counts summing to ``total`` when it is a shot count; ``total_shots=total``."""
+    fits = isinstance(total, int) and not isinstance(total, bool) and 0 < total <= _INT64_MAX
+    return ClickStatistics(np.array([total if fits else 1]), total)
+
+
+_EXACT_CLICKS = PhotonDistribution([0.5, 0.3, 0.2])
+_TWO_BINS = TMDConfig.uniform(2, 0.5)
+_JOINT = JointPhotonDistribution(np.full((3, 3), 1.0 / 9.0))
+_D_CONFIG = default_config("D")
+# (owner build, its name and upper bound, then per entry point: the call, its name and
+# upper bound, and any value it takes its own way, with its message or None when it
+# accepts).  The owner is the config type that owns the rule; a count's upper bound is
+# each function's own.
+_SHARED_RULES = [
+    (lambda v: TMDConfig.uniform(4, v), "efficiency", None, [
+        (lambda v: loss_matrix(v, 3), "efficiency", None, {}),
+        (lambda v: collective_forward(_TWO_BINS, _JOINT, v, 0.5), "efficiency", None, {}),
+        (lambda v: collective_forward(_TWO_BINS, _JOINT, 0.5, v), "efficiency", None, {}),
+    ]),
+    (lambda v: replace(_D_CONFIG, sigma_eta_signal=v), "signal.efficiency_uncertainty", None, [
+        (lambda v: propagate_errors(_TWO_BINS, _EXACT_CLICKS, v), "sigma_eta", None, {}),
+    ]),
+    # a given cutoff, so only the mean rule applies
+    (lambda v: SourceModel.poissonian_pairs(v, 8), "mean", None, [
+        (lambda v: thermal_probs(v, 8), "mean", None, {}),
+        (lambda v: poisson_probs(v, 8), "mean", None, {}),
+        (lambda v: negative_binomial_probs(v, 8, 2), "mean", None, {}),
+        (lambda v: thermal_dist(v, 8), "mean", None, {}),
+        (lambda v: poisson_dist(v, 8), "mean", None, {}),
+        (lambda v: multimode_pair_dist(2, v, 8), "mean", None, {}),
+        (default_n_max, "mean", None,
+         {1e300: "mean 1e+300 implies no finite photon-number cutoff"}),
+        (lambda v: klyshko_efficiency(v, sys.float_info.max), "coincidences", None, {}),
+        # no singles at all is a degenerate ratio, not a bad number
+        (lambda v: klyshko_efficiency(0, v), "singles", None, {}),
+    ]),
+    (lambda v: replace(_D_CONFIG, shots=v), "shots", _INT64_MAX, [
+        (_clicks_totalling, "total_shots", _INT64_MAX, {}),
+        # None is shots not given: the infinite-data limit
+        (lambda v: propagate_errors(_TWO_BINS, _EXACT_CLICKS, 0.0, shots=v), "shots", _INT64_MAX,
+         {None: None}),
+        (lambda v: next(iter_shot_chunks(v)), "shots", _INT64_MAX, {}),
+    ]),
+    (lambda v: SourceModel.fock_pairs(v), "photons", MAX_PHOTONS, [
+        (lambda v: moment(PhotonDistribution([1.0]), v), "order", _INT64_MAX, {}),
+        (lambda v: conditional(_JOINT, "signal", v), "herald_value", 2, {}),
+        (lambda v: conditional(_JOINT, "idler", v), "herald_value", 2, {}),
+    ]),
+]
+
+
+def _refusal(build, value):
+    """The DomainError message of ``build(value)``, or None when the value passes its rules."""
+    try:
+        build(value)
+    except DomainError as exc:
+        return str(exc)
+    except DegenerateConditionError:
+        pass
+    return None
+
+
+class TestEntryPointsShareTheRules:
+    """Public functions take efficiencies, uncertainties, means and counts as the config types do."""
+
+    @pytest.mark.parametrize("owner, name, most, entries", _SHARED_RULES, ids=[
+        row[1] for row in _SHARED_RULES
+    ])
+    def test_same_values_same_words(self, owner, name, most, entries):
+        bound = f"{name} must be at most {most}"
+        for value in _FIELD_VALUES:
+            refused = _refusal(owner, value)
+            for entry, entry_name, entry_most, own in entries:
+                special = [message for key, message in own.items() if key is value or key == value]
+                if special:
+                    expected = special[0]
+                elif refused is not None and refused != bound:
+                    # refused by the rule: the same words, the entry's name for the owner's
+                    expected = entry_name + refused.removeprefix(name)
+                elif entry_most is not None and value > entry_most:
+                    expected = f"{entry_name} must be at most {entry_most}"
+                else:
+                    expected = None
+                assert _refusal(entry, value) == expected, (entry_name, value)
 
 
 class TestStockLayouts:
@@ -621,6 +733,14 @@ class TestShotFiles:
     def test_write_requires_an_arm(self, tmp_path):
         with pytest.raises(DomainError):
             write_shots(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    @pytest.mark.parametrize("masks", [np.array([1.5, 3.0]), np.array([True, False])])
+    def test_write_rejects_masks_that_are_not_integers(self, tmp_path, arm, masks):
+        path = tmp_path / "shots.csv"
+        with pytest.raises(DomainError, match=f"^{arm}_masks must be an integer array, got dtype {masks.dtype}$"):
+            write_shots(path, **{f"{arm}_masks": masks})
+        assert not path.exists()
 
     def test_write_rejects_length_mismatch(self, tmp_path):
         with pytest.raises(DomainError):

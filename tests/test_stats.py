@@ -1,6 +1,7 @@
 """Distribution containers and derived statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ class TestPhotonDistribution:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             PhotonDistribution([np.nan, 1.0])
+
+    @pytest.mark.parametrize("mode", ["ignore", "error"])
+    @pytest.mark.parametrize("probs", [[1e308, 1e308], [0.5, 1e308, -1e308]])
+    def test_rejects_entries_whose_sums_overflow(self, mode, probs):
+        # refused before any sum is taken, so no overflow warning escapes in either mode
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            with pytest.raises(DomainError, match="^distribution has an entry of magnitude 1e\\+308, too large to sum$"):
+                PhotonDistribution(probs)
+            with pytest.raises(DomainError, match="^joint distribution has an entry of magnitude"):
+                JointPhotonDistribution([probs])
+        assert seen == []
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
@@ -166,8 +179,14 @@ class TestDefaultNMax:
 
     @pytest.mark.parametrize("mean", [float("inf"), float("nan"), 1e300, 1e200])
     def test_rejects_a_mean_without_a_finite_cutoff(self, mean):
-        # 1e200 * (1 + 1e200) overflows a float; the cutoff must not escape as OverflowError
-        with pytest.raises(DomainError, match="finite photon-number cutoff"):
+        # 1e200 * (1 + 1e200) overflows a float; the cutoff must not escape as OverflowError.
+        # A mean that is no finite number is refused by the mean rule first.
+        message = (
+            "^mean must be a finite non-negative number$"
+            if not math.isfinite(mean)
+            else "finite photon-number cutoff"
+        )
+        with pytest.raises(DomainError, match=message):
             default_n_max(mean)
 
 
