@@ -27,29 +27,19 @@ from .errors import (
     TruncationError,
 )
 from .io import (
-    FORMAT_VERSION,
-    config_from_doc,
     ingest_shots,
     parse_config,
-    read_json_doc,
     serialize_config,
     write_json_doc,
     write_shots,
 )
 from .montecarlo import (
-    CHUNK_SIZE,
-    SETUPS,
-    CollectiveResult,
     ExperimentConfig,
-    ExperimentResult,
-    iter_shot_chunks,
     run_collective_experiment,
     run_experiment,
 )
 from .pipelines import default_config, run_replicate
 from .reconstruct import (
-    CalibrationRecord,
-    ReconstructionResult,
     invert_joint,
     invert_single,
     klyshko_efficiency,
@@ -57,7 +47,6 @@ from .reconstruct import (
 )
 from .sources import (
     SourceModel,
-    convolve,
     fock_dist,
     multimode_pair_dist,
     poisson_dist,
@@ -66,11 +55,8 @@ from .sources import (
 )
 from .stats import (
     ClickStatistics,
-    FitResult,
     JointPhotonDistribution,
     PhotonDistribution,
-    combine_collective,
-    conditional,
     correlation,
     default_n_max,
     fit_poisson,
@@ -83,35 +69,23 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHUNK_SIZE",
-    "FORMAT_VERSION",
     "MAX_BINS",
-    "SETUPS",
-    "CalibrationRecord",
     "ClickStatistics",
-    "CollectiveResult",
     "ConditioningError",
     "ConfigError",
     "DataFormatError",
     "DegenerateConditionError",
     "DomainError",
     "ExperimentConfig",
-    "ExperimentResult",
-    "FitResult",
     "JointPhotonDistribution",
     "NumericalError",
     "PhotonDistribution",
-    "ReconstructionResult",
     "SourceModel",
     "TMDConfig",
     "TmdkitError",
     "TruncationError",
     "collective_forward",
-    "combine_collective",
-    "conditional",
-    "config_from_doc",
     "convolution_matrix",
-    "convolve",
     "correlation",
     "default_config",
     "default_n_max",
@@ -123,7 +97,6 @@ __all__ = [
     "ingest_shots",
     "invert_joint",
     "invert_single",
-    "iter_shot_chunks",
     "joint_forward",
     "klyshko_efficiency",
     "loss_matrix",
@@ -134,7 +107,6 @@ __all__ = [
     "parse_config",
     "poisson_dist",
     "propagate_errors",
-    "read_json_doc",
     "run_collective_experiment",
     "run_experiment",
     "run_replicate",

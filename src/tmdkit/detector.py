@@ -20,7 +20,6 @@ from .stats import (
     PhotonDistribution,
     _count,
     _efficiency,
-    combine_collective,
 )
 
 # The simulator packs one bin per bit of a uint32 click mask.
@@ -211,6 +210,14 @@ def joint_forward(
     return JointPhotonDistribution(_along_axes([detector_response(tmd) for tmd in tmds], p))
 
 
+def _combine_collective(joint: JointPhotonDistribution) -> PhotonDistribution:
+    """Distribution of the total photon number n_signal + n_idler."""
+    ns, ni = joint.probs.shape
+    idx = (np.arange(ns)[:, None] + np.arange(ni)[None, :]).ravel()
+    q = np.bincount(idx, weights=joint.probs.ravel(), minlength=ns + ni - 1)
+    return PhotonDistribution(q)
+
+
 def collective_forward(
     tmd: TMDConfig,
     joint: JointPhotonDistribution,
@@ -228,6 +235,6 @@ def collective_forward(
     loss_signal = loss_matrix(eta_signal, joint.n_max_signal)
     loss_idler = loss_matrix(eta_idler, joint.n_max_idler)
     surviving = JointPhotonDistribution(_along_axes([loss_signal, loss_idler], joint.probs))
-    total = combine_collective(surviving)
+    total = _combine_collective(surviving)
     conv = convolution_matrix(tmd.bin_probs, total.n_max)
     return PhotonDistribution(conv @ total.probs)

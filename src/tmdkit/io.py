@@ -28,6 +28,7 @@ from .stats import (
     ClickStatistics,
     JointPhotonDistribution,
     PhotonDistribution,
+    _INT64_MAX,
     _count,
     _is_int,
     _is_real,
@@ -354,6 +355,9 @@ def write_shots(
             masks = np.asarray(masks)
             if not np.issubdtype(masks.dtype, np.integer):
                 raise DomainError(f"{arm}_masks must be an integer array, got dtype {masks.dtype}")
+            # rows are written as int64, which holds every mask below 2**63
+            if masks.dtype == np.uint64 and masks.size and masks.max() > _INT64_MAX:
+                raise DomainError(f"{arm}_masks value {masks.max()} is outside the int64 range")
             columns.append(masks)
             header.append(f"{arm}_mask")
     if not columns:
@@ -589,15 +593,9 @@ def _distribution_text(
 ) -> str:
     """CSV table of a distribution, with a σ column when ``sigma`` is given, for external plotting."""
     if isinstance(dist, JointPhotonDistribution):
-        if sigma is not None:
-            raise DomainError("joint tables do not carry uncertainties")
         return _table_text("signal_n,idler_n,probability", dist.probs)
-    if not isinstance(dist, PhotonDistribution):
-        raise DomainError("expected a photon distribution")
     if sigma is None:
         return _table_text("n,probability", dist.probs)
-    if np.shape(sigma) != dist.probs.shape:
-        raise DomainError("sigma length must match the distribution")
     return _table_text("n,probability,sigma", dist.probs, np.asarray(sigma, dtype=float))
 
 

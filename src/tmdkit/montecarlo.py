@@ -19,7 +19,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -102,13 +101,6 @@ def _tallies(joint: ClickStatistics) -> tuple[int, int, int]:
     """Signal singles, idler singles and coincidences held by a joint click table."""
     counts = joint.counts
     return int(counts[1:, :].sum()), int(counts[:, 1:].sum()), int(counts[1:, 1:].sum())
-
-
-def iter_shot_chunks(shots: int) -> Iterator[tuple[int, int]]:
-    """Yield (chunk_index, chunk_shots) covering ``shots`` in order, ``CHUNK_SIZE`` at a time."""
-    shots = _count(shots, "shots", 1)
-    for index, start in enumerate(range(0, shots, CHUNK_SIZE)):
-        yield index, min(CHUNK_SIZE, shots - start)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -242,7 +234,10 @@ def _simulate(
     shape = tuple(tmd.bins + 1 for tmd in tmds)
     cdf = _pair_cdf(config.source)
     kept = [np.zeros(config.shots, dtype=np.uint32) for _ in tmds] if keep_shots else None
-    chunks = list(iter_shot_chunks(config.shots))
+    chunks = [
+        (index, min(CHUNK_SIZE, config.shots - start))
+        for index, start in enumerate(range(0, config.shots, CHUNK_SIZE))
+    ]
     workers = _worker_count(config.shots)
     histograms = [np.zeros(math.prod(shape), dtype=np.int64) for _ in range(workers)]
     errors: list[BaseException] = []

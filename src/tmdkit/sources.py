@@ -49,11 +49,6 @@ def fock_dist(n: int, n_max: int | None = None) -> PhotonDistribution:
     return PhotonDistribution(probs)
 
 
-def convolve(a: PhotonDistribution, b: PhotonDistribution) -> PhotonDistribution:
-    """Distribution of the sum of two independent photon numbers."""
-    return PhotonDistribution(np.convolve(a.probs, b.probs))
-
-
 def multimode_pair_dist(modes: int, total_mean: float, n_max: int | None = None) -> PhotonDistribution:
     """Total pair number of M identical thermal modes (negative binomial).
 

@@ -231,36 +231,6 @@ def marginals(joint: JointPhotonDistribution) -> tuple[PhotonDistribution, Photo
     return PhotonDistribution(signal), PhotonDistribution(idler)
 
 
-def conditional(
-    joint: JointPhotonDistribution, herald_arm: str, herald_value: int
-) -> PhotonDistribution:
-    """Distribution of one arm given an exact photon number on the other.
-
-    ``herald_arm`` names the arm being conditioned on ("signal" or
-    "idler"); the returned distribution describes the opposite arm.
-    """
-    if herald_arm not in ("signal", "idler"):
-        raise DomainError(f"herald_arm must be 'signal' or 'idler', got {herald_arm!r}")
-    # the herald's axis first
-    probs = joint.probs if herald_arm == "signal" else joint.probs.T
-    herald_value = _count(herald_value, "herald_value", 0, probs.shape[0] - 1)
-    slice_ = probs[herald_value]
-    total = float(slice_.sum())
-    if total <= 0.0:
-        raise DegenerateConditionError(
-            f"herald {herald_arm}={herald_value} has non-positive probability {total!r}"
-        )
-    return PhotonDistribution(slice_ / total)
-
-
-def combine_collective(joint: JointPhotonDistribution) -> PhotonDistribution:
-    """Distribution of the total photon number n_signal + n_idler."""
-    ns, ni = joint.probs.shape
-    idx = (np.arange(ns)[:, None] + np.arange(ni)[None, :]).ravel()
-    q = np.bincount(idx, weights=joint.probs.ravel(), minlength=ns + ni - 1)
-    return PhotonDistribution(q)
-
-
 def _joint_moments(joint: JointPhotonDistribution):
     p = joint.probs
     n = np.arange(p.shape[0], dtype=float)
@@ -286,7 +256,11 @@ def correlation(joint: JointPhotonDistribution) -> float:
 
 
 def number_squeezing_db(joint: JointPhotonDistribution) -> float:
-    """Variance of the photon-number difference relative to the shot-noise level, in dB.
+    """Variance of the photon-number difference over the product of the means, in dB.
+
+    That is 10·log10(Var(n_s − n_i) / (⟨n_s⟩·⟨n_i⟩)).  It is not the
+    noise-reduction factor (NRF), whose shot-noise level is the sum
+    ⟨n_s⟩ + ⟨n_i⟩; ROADMAP.md item 1 is to replace this figure with the NRF.
 
     Returns ``-inf`` when the difference variance is zero (or estimated
     below zero by a noisy reconstruction), i.e. squeezing below any

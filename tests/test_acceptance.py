@@ -19,7 +19,6 @@ from tmdkit import (
     PhotonDistribution,
     SourceModel,
     TMDConfig,
-    combine_collective,
     convolution_matrix,
     correlation,
     fit_poisson,
@@ -38,6 +37,7 @@ from tmdkit import (
     twin_beam_joint,
 )
 from tmdkit.cli import EXIT_OK, main
+from tmdkit.detector import _combine_collective
 from tmdkit.pipelines import _klyshko, default_config
 from tmdkit.stats import poisson_probs, thermal_probs
 
@@ -161,7 +161,7 @@ def test_07_merged_arm_parity():
         thermal_dist(0.3, 10),
         poisson_dist(0.4, 10),
     ):
-        total = combine_collective(twin_beam_joint(pair))
+        total = _combine_collective(twin_beam_joint(pair))
         assert np.all(total.probs[1::2] == 0.0)
 
     # simulated statement at finite shots and efficiency; the merged

@@ -9,11 +9,11 @@ from tmdkit import (
     __version__,
     default_config,
     parse_config,
-    read_json_doc,
     serialize_config,
     write_json_doc,
 )
 from tmdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from tmdkit.io import read_json_doc
 from tmdkit.reconstruct import MLE_GAP
 
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmdkit import (
-    SETUPS,
     ClickStatistics,
     ConfigError,
     DataFormatError,
@@ -25,12 +24,9 @@ from tmdkit import (
     SourceModel,
     TMDConfig,
     collective_forward,
-    conditional,
-    config_from_doc,
     default_config,
     default_n_max,
     ingest_shots,
-    iter_shot_chunks,
     klyshko_efficiency,
     loss_matrix,
     moment,
@@ -38,7 +34,6 @@ from tmdkit import (
     parse_config,
     poisson_dist,
     propagate_errors,
-    read_json_doc,
     run_experiment,
     run_replicate,
     serialize_config,
@@ -56,8 +51,11 @@ from tmdkit.io import (
     _clicks_text,
     _distribution_text,
     atomic_write_text,
+    config_from_doc,
     jsonable,
+    read_json_doc,
 )
+from tmdkit.montecarlo import SETUPS
 
 
 class TestJsonable:
@@ -541,12 +539,9 @@ _SHARED_RULES = [
         # None is shots not given: the infinite-data limit
         (lambda v: propagate_errors(_TWO_BINS, _EXACT_CLICKS, 0.0, shots=v), "shots", _INT64_MAX,
          {None: None}),
-        (lambda v: next(iter_shot_chunks(v)), "shots", _INT64_MAX, {}),
     ]),
     (lambda v: SourceModel.fock_pairs(v), "photons", MAX_PHOTONS, [
         (lambda v: moment(PhotonDistribution([1.0]), v), "order", _INT64_MAX, {}),
-        (lambda v: conditional(_JOINT, "signal", v), "herald_value", 2, {}),
-        (lambda v: conditional(_JOINT, "idler", v), "herald_value", 2, {}),
     ]),
 ]
 
@@ -741,6 +736,20 @@ class TestShotFiles:
         with pytest.raises(DomainError, match=f"^{arm}_masks must be an integer array, got dtype {masks.dtype}$"):
             write_shots(path, **{f"{arm}_masks": masks})
         assert not path.exists()
+
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    def test_write_rejects_uint64_masks_beyond_int64(self, tmp_path, arm, value):
+        # rows are int64, so such a mask would be written as a negative number
+        path = tmp_path / "shots.csv"
+        masks = np.array([0, value, 1], dtype=np.uint64)
+        with pytest.raises(DomainError, match=f"^{arm}_masks value {value} is outside the int64 range$"):
+            write_shots(path, **{f"{arm}_masks": masks})
+        assert not path.exists()
+        # the largest int64 is still written as it is
+        masks[1] = 2**63 - 1
+        write_shots(path, **{f"{arm}_masks": masks})
+        assert path.read_text().splitlines()[2] == f"1,{2**63 - 1}"
 
     def test_write_rejects_length_mismatch(self, tmp_path):
         with pytest.raises(DomainError):
@@ -1146,16 +1155,10 @@ class TestTableFiles:
         assert lines[0] == "n,probability,sigma"
         assert lines[1].split(",")[2] == "0.01"
 
-    def test_sigma_length_must_match(self):
-        with pytest.raises(DomainError):
-            _distribution_text(PhotonDistribution([1.0]), np.array([0.1, 0.2]))
-
     def test_joint_table(self):
         lines = _distribution_text(JointPhotonDistribution([[0.5, 0.0], [0.0, 0.5]])).splitlines()
         assert lines[0] == "signal_n,idler_n,probability"
         assert len(lines) == 5
-        with pytest.raises(DomainError):
-            _distribution_text(JointPhotonDistribution([[1.0]]), np.array([0.1]))
 
     def test_clicks_table(self):
         lines = _clicks_text(ClickStatistics(np.array([3, 1]), 4)).splitlines()

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from tmdkit import (
-    CHUNK_SIZE,
     DomainError,
     ExperimentConfig,
     PhotonDistribution,
@@ -19,7 +18,6 @@ from tmdkit import (
     collective_forward,
     default_config,
     forward,
-    iter_shot_chunks,
     joint_forward,
     marginals,
     run_collective_experiment,
@@ -27,6 +25,7 @@ from tmdkit import (
 )
 from tmdkit import montecarlo
 from tmdkit.montecarlo import (
+    CHUNK_SIZE,
     _BLOCK,
     _chunk_rng,
     _click_histogram,
@@ -57,21 +56,6 @@ def poisson_setup_d(shots=100_000, seed=42):
         shots=shots,
         seed=seed,
     )
-
-
-class TestShotChunks:
-    def test_exact_cover(self):
-        chunks = list(iter_shot_chunks(10 * CHUNK_SIZE + 17))
-        assert [index for index, _ in chunks] == list(range(11))
-        assert sum(size for _, size in chunks) == 10 * CHUNK_SIZE + 17
-        assert all(size <= CHUNK_SIZE for _, size in chunks)
-
-    def test_single_partial_chunk(self):
-        assert list(iter_shot_chunks(100)) == [(0, 100)]
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            list(iter_shot_chunks(0))
 
 
 class TestExperimentConfig:
@@ -423,8 +407,9 @@ def _serial_reference(config):
     merged = config.setup == "C"
     tmds = (config.tmd_signal,) if merged else (config.tmd_signal, config.tmd_idler)
     masks = [[] for _ in tmds]
-    for chunk_index, size in iter_shot_chunks(config.shots):
+    for chunk_index, start in enumerate(range(0, config.shots, CHUNK_SIZE)):
         rng = _chunk_rng(config.seed, chunk_index)
+        size = min(CHUNK_SIZE, config.shots - start)
         pairs = np.searchsorted(cdf, rng.random(size), side="right")
         if merged:
             survivors = rng.binomial(pairs, config.tmd_signal.efficiency)

@@ -9,10 +9,10 @@ from tmdkit import (
     ConfigError,
     DomainError,
     TMDConfig,
-    read_json_doc,
     write_json_doc,
 )
 from tmdkit import montecarlo, pipelines
+from tmdkit.io import read_json_doc
 from tmdkit.pipelines import (
     DEFAULT_SEED,
     DEFAULT_SHOTS,

@@ -15,8 +15,6 @@ from tmdkit import (
     JointPhotonDistribution,
     NumericalError,
     PhotonDistribution,
-    combine_collective,
-    conditional,
     correlation,
     default_n_max,
     fit_poisson,
@@ -26,6 +24,7 @@ from tmdkit import (
     number_squeezing_db,
     twin_beam_joint,
 )
+from tmdkit.detector import _combine_collective
 from tmdkit.stats import (
     _golden_minimize,
     _negative_binomial_pmf,
@@ -197,30 +196,6 @@ class TestMarginalsAndConditional:
         np.testing.assert_allclose(signal.probs, [0.3, 0.7])
         np.testing.assert_allclose(idler.probs, [0.4, 0.6])
 
-    def test_conditional_on_idler(self):
-        joint = JointPhotonDistribution([[0.1, 0.2], [0.3, 0.4]])
-        cond = conditional(joint, "idler", 1)
-        np.testing.assert_allclose(cond.probs, [0.2 / 0.6, 0.4 / 0.6])
-
-    def test_conditional_on_signal(self):
-        joint = JointPhotonDistribution([[0.1, 0.2], [0.3, 0.4]])
-        cond = conditional(joint, "signal", 0)
-        np.testing.assert_allclose(cond.probs, [1.0 / 3.0, 2.0 / 3.0])
-
-    def test_rejects_unknown_arm(self):
-        joint = JointPhotonDistribution([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(DomainError):
-            conditional(joint, "herald", 0)
-
-    def test_rejects_out_of_range_value(self):
-        joint = JointPhotonDistribution([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(DomainError):
-            conditional(joint, "signal", 2)
-
-    def test_zero_mass_herald_degenerate(self):
-        joint = JointPhotonDistribution([[0.5, 0.0], [0.5, 0.0]])
-        with pytest.raises(DegenerateConditionError):
-            conditional(joint, "idler", 1)
 
 
 class TestCombineCollective:
@@ -232,11 +207,11 @@ class TestCombineCollective:
         for n in range(4):
             for m in range(3):
                 expected[n + m] += joint.probs[n, m]
-        np.testing.assert_allclose(combine_collective(joint).probs, expected, atol=1e-15)
+        np.testing.assert_allclose(_combine_collective(joint).probs, expected, atol=1e-15)
 
     def test_twin_beam_total_has_exact_odd_zeros(self):
         pair = PhotonDistribution([0.6, 0.3, 0.1])
-        total = combine_collective(twin_beam_joint(pair))
+        total = _combine_collective(twin_beam_joint(pair))
         np.testing.assert_array_equal(total.probs[1::2], 0.0)
         np.testing.assert_allclose(total.probs[0::2], pair.probs)
 
