@@ -10,7 +10,7 @@ matrices acting on probability vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -135,39 +135,30 @@ def loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     return _column_stochastic(_binomial_stage(efficiency, _count(n_max, "n_max", 0)))
 
 
-@lru_cache(maxsize=128)
-def _convolution_entries(bin_probs: tuple[float, ...], n_max: int) -> np.ndarray:
-    """Occupation matrix grown one bin at a time from non-negative terms only.
+def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
+    """Bin-occupation stage: entry (c, n) is P(n photons occupy exactly c bins).
 
-    Adding a bin of probability p to bins of total probability s keeps each
-    photon in the earlier bins with probability s / (s + p), a loss stage;
-    the new bin is occupied exactly when it takes at least one photon.
+    Grown one bin at a time from non-negative terms only: adding a bin of
+    probability p to bins of total probability s keeps each photon in the
+    earlier bins with probability s / (s + p), a loss stage, and the new
+    bin is occupied exactly when it takes at least one photon.  The bin
+    count is capped at MAX_BINS like every detector's.
     """
-    entries = np.zeros((len(bin_probs) + 1, n_max + 1))
+    probs = _checked_bin_probs(bin_probs)
+    n_max = _count(n_max, "n_max", 0)
+    entries = np.zeros((probs.size + 1, n_max + 1))
     entries[0, 0] = 1.0
     seen = 0.0
-    for p in bin_probs:
+    for p in probs.tolist():
         if p == 0.0:
             continue
-        # stay[j, m] = P(j of m photons stay in the earlier bins)
-        # unchecked: convolution_matrix checks the finished matrix once
+        # stay[j, m] = P(j of m photons stay in the earlier bins);
+        # unchecked, the finished matrix is checked once
         stay = _binomial_stage(seen / (seen + p), n_max)
         seen += p
         grown = entries * np.diag(stay)
         grown[1:] += entries[:-1] @ np.triu(stay, 1)
         entries = grown
-    entries.flags.writeable = False
-    return entries
-
-
-def convolution_matrix(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
-    """Bin-occupation stage: entry (c, n) is P(n photons occupy exactly c bins).
-
-    Built bin by bin from loss stages (see ``_convolution_entries``); the
-    bin count is capped at MAX_BINS like every detector's.
-    """
-    probs = _checked_bin_probs(bin_probs)
-    entries = _convolution_entries(tuple(probs.tolist()), _count(n_max, "n_max", 0))
     return _column_stochastic(entries)
 
 

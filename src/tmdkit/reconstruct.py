@@ -96,8 +96,8 @@ def klyshko_efficiency(coincidences: float, singles: float) -> CalibrationRecord
     return CalibrationRecord(eta, uncertainty, float(coincidences), float(singles))
 
 
-def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation and loss stages of a detector the inversion can use."""
+def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupation, loss and response matrices of a detector the inversion can use."""
     if tmd.n_max > tmd.bins:
         raise TruncationError(
             f"n_max={tmd.n_max} exceeds the {tmd.bins}-bin click range; "
@@ -111,25 +111,26 @@ def _stages(tmd: TMDConfig) -> tuple[np.ndarray, np.ndarray]:
             f"only {effective_bins} bins have non-zero probability; "
             f"rank is insufficient for n_max={tmd.n_max}"
         )
-    return tmd._model[:2]
+    return tmd._model
 
 
-def _solve_stages(conv: np.ndarray, loss: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Least-squares solution of (conv @ loss) p = rho, rho may be a matrix."""
+def _solve_stages(model: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
+    """Least-squares solution of response @ p = rho, rho may be a matrix."""
+    conv, loss, response = model
     if conv.shape[0] == conv.shape[1]:
         # both stages are upper triangular, so LU pivots nowhere: this is
         # back-substitution, accurate where an SVD pseudo-inverse collapses
         return np.linalg.solve(loss, np.linalg.solve(conv, rho))
-    solution, *_ = np.linalg.lstsq(conv @ loss, rho, rcond=None)
+    solution, *_ = np.linalg.lstsq(response, rho, rcond=None)
     return solution
 
 
-def _direct(stages: list, rho: np.ndarray) -> tuple[np.ndarray, float]:
+def _direct(models: list, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares inverse along each detector axis, renormalized, with the raw mass."""
-    for conv, loss in stages:
+    for model in models:
         # solve along the leading axis, then bring the next one to the front;
         # two transposes restore the order and a vector's transpose is itself
-        rho = _solve_stages(conv, loss, rho).T
+        rho = _solve_stages(model, rho).T
     return _renormalized(rho)
 
 
@@ -259,16 +260,16 @@ def _renormalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _invert(tmds: tuple[TMDConfig, ...], clicks, constrained: bool) -> ReconstructionResult:
     """Invert one detector per axis: a vector for one arm, signal rows by idler columns for two."""
-    stages = [_stages(tmd) for tmd in tmds]
+    models = [_stages(tmd) for tmd in tmds]
     rho, _ = _click_frequencies(tmds, clicks)
-    composites = [conv @ loss for conv, loss in stages]
-    probs, _ = _direct(stages, rho)
+    responses = [response for *_, response in models]
+    probs, _ = _direct(models, rho)
     gap = steps = None
     if constrained:
         # the composite of independent axes is their Kronecker product
-        flat, gap, steps = _mle(functools.reduce(np.kron, composites), rho.ravel(), probs.ravel())
+        flat, gap, steps = _mle(functools.reduce(np.kron, responses), rho.ravel(), probs.ravel())
         probs = flat.reshape(probs.shape)
-    residual = float(np.linalg.norm(_along_axes(composites, probs) - rho))
+    residual = float(np.linalg.norm(_along_axes(responses, probs) - rho))
     dist_type = PhotonDistribution if probs.ndim == 1 else JointPhotonDistribution
     return ReconstructionResult(dist_type(probs), residual, gap, steps)
 
@@ -335,20 +336,20 @@ def propagate_errors(
         reconstructed probabilities.
     """
     _uncertainty(sigma_eta, "sigma_eta")
-    conv, loss = _stages(tmd)
+    model = _stages(tmd)
     rho, counted = _click_frequencies((tmd,), clicks)
     if shots is not None:
         if counted is not None:
             raise DomainError("shots is for exact clicks; a ClickStatistics carries its own count")
         counted = _count(shots, "shots", 1)
 
-    probs, total = _direct([(conv, loss)], rho)
+    probs, total = _direct([model], rho)
     size = probs.size
     covariance = np.zeros((size, size))
 
     if counted is not None:
         # d(normalized p)/d(rho), renormalization projects out total-mass shifts
-        inverse = _solve_stages(conv, loss, np.eye(rho.size))
+        inverse = _solve_stages(model, np.eye(rho.size))
         jacobian = (np.eye(size) - np.outer(probs, np.ones(size))) @ inverse
         jacobian /= total
         freq_cov = (np.diag(rho) - np.outer(rho, rho)) / float(counted)

@@ -1,7 +1,5 @@
 """Command-line entry points, exit codes, and emitted files."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -338,6 +336,14 @@ class TestFit:
         out = tmp_path / "out"
         assert run_cli("fit", "--in", doc_path, "--out", out) == EXIT_OK
         assert (out / "fit.json").exists()
+
+    def test_document_without_distributions(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        write_json_doc(doc_path, {"format_version": 1, "note": "nothing here"})
+        out = tmp_path / "o"
+        assert run_cli("fit", "--in", doc_path, "--out", out) == EXIT_DATA
+        assert "document carries no distribution vector to fit" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMalformedDocuments:

@@ -100,6 +100,18 @@ class TestConvolutionMatrix:
         c, n = np.indices(matrix.shape)
         assert not matrix[c > n].any()
 
+    @pytest.mark.parametrize("bin_probs, zero_at", [
+        ([0.0, 0.5, 0.3, 0.2], 0),
+        ([0.5, 0.0, 0.3, 0.2], 1),
+        ([0.5, 0.3, 0.0, 0.2], 2),
+    ], ids=["first", "second", "third"])
+    def test_empty_bin_adds_an_empty_row(self, bin_probs, zero_at):
+        # a bin no photon reaches is never occupied, and changes no other entry
+        n_max = 6
+        matrix = convolution_matrix(np.array(bin_probs), n_max)
+        without = convolution_matrix(np.delete(bin_probs, zero_at), n_max)
+        np.testing.assert_array_equal(matrix, np.vstack([without, np.zeros(n_max + 1)]))
+
     def test_rejects_unnormalized_probs(self):
         with pytest.raises(DomainError):
             convolution_matrix(np.array([0.5, 0.4]), 3)
@@ -185,6 +197,8 @@ class TestTMDConfig:
             TMDConfig.uniform(MAX_BINS + 1)
         with pytest.raises(DomainError, match=r"^bin_probs has 33 entries, more than MAX_BINS=32$"):
             TMDConfig(np.full(MAX_BINS + 1, 1.0 / (MAX_BINS + 1)), 1.0, 2)
+        with pytest.raises(DomainError, match=r"^bin_probs must be a non-empty 1-d vector$"):
+            TMDConfig(np.full((2, 2), 0.25), 1.0, 2)
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -799,6 +800,17 @@ class TestShotFiles:
         path = tmp_path / "shots.csv"
         path.write_text("shot_id,signal_mask\n")
         with pytest.raises(DataFormatError):
+            ingest_shots(path, signal_bins=4)
+
+    def test_ingest_rejects_missing_file(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'cannot read shots {path}: ')}"):
+            ingest_shots(path, signal_bins=4)
+
+    def test_ingest_rejects_file_without_header(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataFormatError, match="empty file, expected a header$"):
             ingest_shots(path, signal_bins=4)
 
 

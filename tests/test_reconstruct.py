@@ -36,6 +36,7 @@ from tmdkit import (
     twin_beam_joint,
 )
 from tmdkit import reconstruct
+from tmdkit.detector import MAX_BINS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -340,6 +341,46 @@ class TestModelMemo:
                 propagate_errors(tmd, rho, sigma_eta=0.009)
             with pytest.raises(error):
                 invert_joint(tmd, tmd, np.ones((5, 5)) / 25.0)
+
+
+@st.composite
+def _detectors(draw) -> TMDConfig:
+    """A detector of 1 to MAX_BINS bins, some maybe empty, efficiency in (0, 1], n_max up to its bins."""
+    bins = draw(st.integers(1, MAX_BINS))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=bins, max_size=bins)))
+    if not weights.any():
+        weights[0] = 1.0
+    eta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return TMDConfig(weights / weights.sum(), eta, draw(st.integers(0, bins)))
+
+
+class TestRandomDetectors:
+    """The inversion's invariants on drawn detectors (derandomized, so tier-1 stays fixed)."""
+
+    @given(
+        tmd=_detectors(),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=MAX_BINS + 1, max_size=MAX_BINS + 1),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_forward_then_invert_recovers_the_law(self, tmd, weights):
+        conv, loss, response = tmd._model
+        # the inversion reads the product from the model: it must be the product's bits
+        np.testing.assert_array_equal(conv @ loss, detector_response(tmd))
+        law = np.array(weights[: tmd.n_max + 1])
+        if not law.any():
+            law[0] = 1.0
+        law /= law.sum()
+        clicks = forward(tmd, PhotonDistribution(law))
+        if tmd.n_max > np.count_nonzero(tmd.bin_probs):
+            with pytest.raises(ConditioningError):
+                invert_single(tmd, clicks)
+            return
+        # a backward-stable solve recovers the law to within rounding times the
+        # response's condition number, which low efficiency and small bins inflate
+        tolerance = tmd.bins * np.finfo(float).eps * np.linalg.cond(response)
+        if tolerance < 1.0:
+            recovered = invert_single(tmd, clicks).dist.probs
+            assert np.abs(recovered - law).max() <= tolerance
 
 
 def _counted(law: np.ndarray, shots: int = 100_000, seed: int = 11) -> ClickStatistics:

@@ -33,6 +33,10 @@ class TestReferenceDistributions:
         var = moment(dist, 2) - dist.mean**2
         assert var == pytest.approx(1.5, abs=1e-8)
 
+    def test_default_cutoff(self):
+        for mean in (0.0, 0.5, 2.0):
+            assert poisson_dist(mean).probs.size == default_n_max(mean) + 1
+
     def test_default_truncation_is_generous(self):
         dist = thermal_dist(2.0)
         assert dist.probs[-1] < 1e-7
@@ -181,6 +185,10 @@ class TestSourceModel:
         ):
             with pytest.raises(DomainError, match=f"^{message}$"):
                 build()
+        # so does a recorded source built from its pair law
+        pairs = PhotonDistribution(thermal_probs(0.5, 4999))
+        with pytest.raises(DomainError, match=r"^pair cutoff 4999 exceeds MAX_PHOTONS=4096$"):
+            SourceModel(pairs, "thermal", mean=0.5)
 
     @pytest.mark.parametrize("n_max", [2.7, 3.0, True, "3"])
     @pytest.mark.parametrize("build", [

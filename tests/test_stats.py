@@ -136,6 +136,10 @@ class TestClickStatistics:
         with pytest.raises(DomainError):
             ClickStatistics(np.array([0, 0]), 0)
 
+    def test_rejects_three_axes(self):
+        with pytest.raises(DomainError, match=r"^click counts must be a 1-d or 2-d array$"):
+            ClickStatistics(np.ones((2, 2, 2), dtype=np.int64), 8)
+
     def test_matrix_counts(self):
         stats = ClickStatistics(np.array([[1, 2], [3, 4]]), 10)
         assert stats.counts.shape == (2, 2)
